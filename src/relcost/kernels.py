@@ -1,15 +1,28 @@
-"""Hot simulation kernels: tick loops for single and repeated invocations.
+"""Hot simulation kernels: the single-mode tick loop and the repeated-mode run.
 
-The functions here are written so the exact same source runs in two modes:
+All randomness of a run flows through one explicit splitmix64 stream (no
+numpy/numba RNG state involved).  The stream is a counter generator: after
+state S, draw k is mix(S + k*GOLDEN) (Steele, Lea & Flood, "Fast splittable
+pseudorandom number generators", OOPSLA 2014).  Any stretch of draws whose
+count is known in advance can therefore be computed at once, without
+stepping through the draws before it.
+
+Single mode is written so the exact same source runs in two modes:
 
 * compiled with numba ``@njit`` (the default when numba is importable), or
 * as plain Python over numpy uint64 scalars, selected by setting the
   environment variable ``RELCOST_NO_NUMBA=1`` before import.
 
-Both modes produce bit-identical results because all randomness flows through
-one explicit splitmix64 stream (no numpy/numba RNG state involved) and all
-floating point work uses the same float64 operations.  ``benchmarks/`` holds
-a script that times the two modes against each other.
+Both give bit-identical results because all floating point work uses the
+same float64 operations.
+
+Repeated mode is numpy only, with or without numba.  Its heartbeat and
+invocation coins are computed through the counter identity, in numpy passes
+of at most ``_BLOCK`` draws.  The per-invocation walks, whose draw counts
+depend on earlier draws, step the stream on python ints and jump from one
+inbound heartbeat to the next.  The draw order below is unchanged from the
+earlier tick-by-tick kernel, so seeded results are too; ``tests/`` keeps
+that kernel as the reference it is checked against.
 
 Random draw discipline (fixed; the pure-Python reference engine follows it):
 
@@ -58,19 +71,23 @@ _PATHOLOGICAL = 4
 _NEVER = 1 << 60  # internal "never happens" tick, beyond any horizon
 
 
-def derive_run_seed(master: int, index: int) -> int:
-    """Per-run substream seed: splitmix64 jump+finalize over python ints.
-
-    Pure python on purpose: exact, warning-free, and usable to derive seeds
-    for any backend mode.
-    """
-    z = (int(master) + (int(index) + 1) * 0x9E3779B97F4A7C15) & _MASK
+def _mix(z):
+    # splitmix64 finalizer over python ints
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & _MASK
     z ^= z >> 27
     z = (z * 0x94D049BB133111EB) & _MASK
-    z ^= z >> 31
-    return z
+    return z ^ (z >> 31)
+
+
+def derive_run_seed(master: int, index: int) -> int:
+    """Per-run substream seed: draw index+1 of the splitmix64 stream at
+    ``master``, unscaled.
+
+    Pure python on purpose: exact, warning-free, and usable to derive seeds
+    for any backend mode.
+    """
+    return _mix((int(master) + (int(index) + 1) * _GOLDEN) & _MASK)
 
 
 def make_seeds(master: int, start: int, count: int) -> np.ndarray:
@@ -330,160 +347,169 @@ def _single_batch(proto, alpha_p, alpha_q, beta_p, beta_q, gamma, tau, delta,
         out_quiesce[r] = quiesce_t
 
 
-@jitted
+# ---------------------------------------------------------------------------
+# repeated mode: numpy over counter-based draws
+
+# the most draws one numpy pass computes; bounds a run's scratch memory
+_BLOCK = 1 << 14
+
+
+def _unit_draws(state, first, n):
+    """Unit floats of draws first+1 ... first+n of the stream at ``state``."""
+    z = np.arange(first + 1, first + n + 1, dtype=np.uint64)
+    tmp = np.empty_like(z)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(state)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 1.1102230246251565e-16
+    return u
+
+
+def _blocks(n):
+    # (offset, size) of the numpy passes over n draws
+    return ((b, min(_BLOCK, n - b)) for b in range(0, n, _BLOCK))
+
+
+def _step(state):
+    # one draw on python ints; returns (new_state, unit float in [0, 1))
+    state = (state + _GOLDEN) & _MASK
+    return state, (_mix(state) >> 11) * 1.1102230246251565e-16
+
+
 def _hb_upto(t, t_x, delta, horizon):
-    # heartbeat sends of a process with crash tick t_x, counted up to time t
-    m = t
-    if t_x - 1 < m:
-        m = t_x - 1
-    if horizon - 1 < m:
-        m = horizon - 1
-    if m < 0:
-        return 0
-    return m // delta + 1
+    """Heartbeat sends of a process with crash tick t_x, counted up to time
+    t; t may be an array."""
+    m = np.minimum(t, min(t_x, horizon) - 1)
+    return np.where(m < 0, 0, m // delta + 1)
 
 
-@jitted
-def _repeated_run(gamma, tau, delta, sigma, horizon, state, t_p, t_q,
-                  hb_in_p, hb_in_q,
-                  inv_start, inv_sender, inv_nsend, inv_wait, inv_finish, inv_complete):
-    """One seeded repeated-mode run; fills the per-invocation arrays.
+def _heartbeats(state, first, gamma, tau, delta, horizon, t_x, t_rcv, hb_in):
+    """One heartbeat direction: a send at every multiple of delta before
+    min(horizon, t_x), each with one loss coin.
+
+    Marks the in-window arrivals in ``hb_in``; returns (sends, last arrival
+    before t_rcv or -1)."""
+    n = -(-min(horizon, t_x) // delta)
+    last = -1
+    for b, k in _blocks(n):
+        arr = (np.flatnonzero(_unit_draws(state, first + b, k) >= gamma) + b) * delta + tau
+        hb_in[arr[arr < horizon]] = 1
+        live = arr[arr < t_rcv]
+        if live.size:
+            last = int(live[-1])
+    return n, last
+
+
+def _invocations(state, first, sigma, horizon, t_p, t_q):
+    """Invocation coins: one per live process per tick, tick-ordered, p
+    before q.  Returns (start ticks, senders, draws)."""
+    both = min(horizon, t_p, t_q)   # ticks with a p coin and a q coin
+    n = both + min(horizon, max(t_p, t_q))
+    hits = [np.flatnonzero(_unit_draws(state, first + b, k) < sigma) + b
+            for b, k in _blocks(n)]
+    j = np.concatenate(hits) if hits else np.empty(0, np.int64)
+    pair = j < 2 * both
+    start = np.where(pair, j >> 1, j - both)
+    sender = np.where(pair, j & 1, 0 if t_p > t_q else 1)
+    return start, sender, n
+
+
+def _repeated_run(gamma, tau, delta, sigma, horizon, state, t_p, t_q):
+    """One seeded repeated-mode run.
 
     t_p/t_q are raw crash ticks (huge value = never).  Both processes share
     one heartbeat stream per direction; each invocation is walked
     independently against its sender's inbound heartbeat arrivals.
 
-    Returns (n_inv, hb_count_p, hb_count_q).
-    ``inv_complete[i]`` is the completion tick (last send, or the start tick
-    for invocations that never trigger a send), or -1 when activity past the
-    horizon cannot be ruled out.
+    Returns (arrays, hb_count_p, hb_count_q); ``arrays`` holds the int64
+    per-invocation arrays ``start``, ``sender`` (0 = p), ``n_send``,
+    ``wait``, ``finish`` (-1 = never) and ``complete_t`` in invocation-id
+    order.  ``complete_t`` is the completion tick (last send, or the start
+    tick for invocations that never trigger a send), or -1 when activity
+    past the horizon cannot be ruled out.
     """
-    for i in range(horizon):
-        hb_in_p[i] = 0
-        hb_in_q[i] = 0
+    state = int(state)
+    hb_in_p = np.zeros(horizon, np.uint8)
+    hb_in_q = np.zeros(horizon, np.uint8)
+    hb_count_p, last_trigger_q = _heartbeats(state, 0, gamma, tau, delta,
+                                             horizon, t_p, t_q, hb_in_q)
+    hb_count_q, last_trigger_p = _heartbeats(state, hb_count_p, gamma, tau, delta,
+                                             horizon, t_q, t_p, hb_in_p)
+    used = hb_count_p + hb_count_q
+    start, sender, n_coins = _invocations(state, used, sigma, horizon, t_p, t_q)
+    # the per-invocation loss coins follow, walk by walk
+    state = (state + (used + n_coins) * _GOLDEN) & _MASK
 
-    # heartbeat stream p -> q
-    hb_count_p = 0
-    last_trigger_q = -1
-    t = 0
-    while t < horizon and t < t_p:
-        state, u = _next_unit(state)
-        hb_count_p += 1
-        if not (u < gamma):
-            arr = t + tau
-            if arr < t_q and arr > last_trigger_q:
-                last_trigger_q = arr
-            if arr < horizon:
-                hb_in_q[arr] = 1
-        t += delta
-
-    # heartbeat stream q -> p
-    hb_count_q = 0
-    last_trigger_p = -1
-    t = 0
-    while t < horizon and t < t_q:
-        state, u = _next_unit(state)
-        hb_count_q += 1
-        if not (u < gamma):
-            arr = t + tau
-            if arr < t_p and arr > last_trigger_p:
-                last_trigger_p = arr
-            if arr < horizon:
-                hb_in_p[arr] = 1
-        t += delta
-
-    # invocation arrivals: Bernoulli(sigma) per live process per tick,
-    # drawn before the protocol step so a same-tick heartbeat can trigger
-    # the new invocation immediately
-    n_inv = 0
-    t = 0
-    while t < horizon and (t < t_p or t < t_q):
-        if t < t_p:
-            state, u = _next_unit(state)
-            if u < sigma:
-                inv_start[n_inv] = t
-                inv_sender[n_inv] = 0
-                n_inv += 1
-        if t < t_q:
-            state, u = _next_unit(state)
-            if u < sigma:
-                inv_start[n_inv] = t
-                inv_sender[n_inv] = 1
-                n_inv += 1
-        t += 1
-
-    for i in range(n_inv):
-        s = inv_start[i]
-        if inv_sender[i] == 0:
-            t_snd = t_p
-            t_rcv = t_q
-            last_trig = last_trigger_p
-        else:
-            t_snd = t_q
-            t_rcv = t_p
-            last_trig = last_trigger_q
+    trig_p = np.flatnonzero(hb_in_p)
+    trig_q = np.flatnonzero(hb_in_q)
+    first = np.where(sender == 0, np.searchsorted(trig_p, start),
+                     np.searchsorted(trig_q, start))
+    # per sender: inbound heartbeat ticks and their count, own and peer
+    # crash ticks, last trigger
+    side = ((memoryview(trig_p), trig_p.size, t_p, t_q, last_trigger_p),
+            (memoryview(trig_q), trig_q.size, t_q, t_p, last_trigger_q))
+    last_tick = horizon - 1
+    n_send, finish, complete = [], [], []
+    for s, x, j in zip(start.tolist(), sender.tolist(), first.tolist()):
+        trig, n_trig, t_snd, t_rcv, last_trig = side[x]
         stop = _NEVER
         msgs = 0
         acks = 0
         last_send = -1
-        finish = -1
+        fin = -1
         pending = False
-        u_t = s
-        while u_t < horizon and u_t < t_snd and u_t < stop:
-            trig = hb_in_p[u_t] if inv_sender[i] == 0 else hb_in_q[u_t]
-            if trig == 1:
-                msgs += 1
-                if u_t > last_send:
-                    last_send = u_t
-                state, u = _next_unit(state)
-                if not (u < gamma):
-                    arr = u_t + tau
-                    if arr <= t_rcv:
-                        # delivered (receiver up at the delivery step)
-                        if arr > horizon - 1:
-                            if arr < t_rcv:
-                                pending = True  # would be acknowledged past the horizon
-                        elif arr < t_rcv:
-                            if finish < 0:
-                                finish = arr
-                            acks += 1
-                            if arr > last_send:
-                                last_send = arr
-                            state, u2 = _next_unit(state)
-                            if not (u2 < gamma):
-                                arr2 = arr + tau
-                                if arr2 <= horizon - 1 and arr2 < stop:
-                                    stop = arr2
-            u_t += 1
+        while j < n_trig:
+            u_t = trig[j]
+            if u_t >= t_snd or u_t >= stop:
+                break
+            msgs += 1
+            if u_t > last_send:
+                last_send = u_t
+            state, u = _step(state)
+            arr = u_t + tau
+            if u >= gamma and arr < t_rcv:
+                # delivered to a receiver still up
+                if arr > last_tick:
+                    pending = True  # would be acknowledged past the horizon
+                else:
+                    if fin < 0:
+                        fin = arr
+                    acks += 1
+                    if arr > last_send:
+                        last_send = arr
+                    state, u2 = _step(state)
+                    arr2 = arr + tau
+                    if u2 >= gamma and arr2 <= last_tick and arr2 < stop:
+                        stop = arr2
+            j += 1
 
-        sender_alive_end = t_snd > horizon - 1
-        sender_stopped = (stop <= horizon - 1) or (not sender_alive_end)
-        future_trigger = (t_rcv > horizon - 1) or (last_trig > horizon - 1)
-        incomplete = pending or ((not sender_stopped) and future_trigger)
+        sender_stopped = stop <= last_tick or t_snd <= last_tick
+        future_trigger = t_rcv > last_tick or last_trig > last_tick
+        incomplete = pending or (not sender_stopped and future_trigger)
+        n_send.append(msgs + acks)
+        finish.append(fin)
+        complete.append(-1 if incomplete else (last_send if last_send >= 0 else s))
 
-        inv_nsend[i] = msgs + acks
-        inv_finish[i] = finish
-        if incomplete:
-            inv_complete[i] = -1
-        else:
-            inv_complete[i] = last_send if last_send >= 0 else s
-        w_min = t_p if t_p < t_q else t_q
-        if finish >= 0 and finish < w_min:
-            w_min = finish
-        if horizon < w_min:
-            w_min = horizon
-        w = w_min - s
-        if w < 0:
-            w = 0
-        inv_wait[i] = w
-
-    return n_inv, hb_count_p, hb_count_q
+    finish = np.array(finish, np.int64)
+    w_min = min(t_p, t_q)
+    w_min = np.minimum(np.where((finish >= 0) & (finish < w_min), finish, w_min), horizon)
+    arrays = {
+        "start": start, "sender": sender, "n_send": np.array(n_send, np.int64),
+        "wait": np.maximum(w_min - start, 0), "finish": finish,
+        "complete_t": np.array(complete, np.int64),
+    }
+    return arrays, hb_count_p, hb_count_q
 
 
-@jitted
-def _repeated_reduce(n_inv, inv_nsend, inv_wait, inv_complete,
-                     t_p, t_q, delta, horizon, c_send, c_wait,
-                     time_buf, cost_buf):
+def _repeated_reduce(inv_nsend, inv_wait, inv_complete,
+                     t_p, t_q, delta, horizon, c_send, c_wait):
     """Average-cost summary of one repeated run.
 
     Returns (n_complete, cost_completed, hb_total, ratio_at_horizon,
@@ -491,75 +517,33 @@ def _repeated_reduce(n_inv, inv_nsend, inv_wait, inv_complete,
     the ratio can attain its maximum: just before and at each completion
     event, and at the horizon.
     """
-    m = 0
-    for i in range(n_inv):
-        if inv_complete[i] >= 0:
-            time_buf[m] = inv_complete[i]
-            cost_buf[m] = inv_nsend[i] * c_send + inv_wait[i] * c_wait
-            m += 1
-    order = np.argsort(time_buf[:m])
-    k_done = 0
-    c_done = 0.0
+    def hb(t):
+        return _hb_upto(t, t_p, delta, horizon) + _hb_upto(t, t_q, delta, horizon)
+
+    done = inv_complete >= 0
+    times = inv_complete[done]
+    cost = inv_nsend[done] * c_send + inv_wait[done] * c_wait
+    order = np.argsort(times)
+    times = times[order]
+    c_run = np.cumsum(cost[order])  # sequential: completion-time order
+    m = times.size
+    c_done = float(c_run[-1]) if m else 0.0
+    hb_total = int(hb(horizon))
+    ratio_h = (c_done + hb_total * c_send) / (m + 1)
     sup = 0.0
-    j = 0
-    while j < m:
-        big_t = time_buf[order[j]]
-        hb_before = _hb_upto(big_t - 1, t_p, delta, horizon) + _hb_upto(big_t - 1, t_q, delta, horizon)
-        cand = (c_done + hb_before * c_send) / (k_done + 1)
-        if cand > sup:
-            sup = cand
-        while j < m and time_buf[order[j]] == big_t:
-            c_done += cost_buf[order[j]]
-            k_done += 1
-            j += 1
-        hb_at = _hb_upto(big_t, t_p, delta, horizon) + _hb_upto(big_t, t_q, delta, horizon)
-        cand = (c_done + hb_at * c_send) / (k_done + 1)
-        if cand > sup:
-            sup = cand
-    hb_total = _hb_upto(horizon, t_p, delta, horizon) + _hb_upto(horizon, t_q, delta, horizon)
-    ratio_h = (c_done + hb_total * c_send) / (k_done + 1)
+    if m:
+        # one group per completion tick: last index of each, then the first
+        last = np.flatnonzero(np.append(times[1:] != times[:-1], True))
+        first = np.append(0, last[:-1] + 1)
+        big_t = times[last]
+        c_before = np.append(0.0, c_run[last[:-1]])
+        top = max(((c_before + hb(big_t - 1) * c_send) / (first + 1)).max(),
+                  ((c_run[last] + hb(big_t) * c_send) / (last + 2)).max())
+        if top > sup:
+            sup = float(top)
     if ratio_h > sup:
         sup = ratio_h
-    return k_done, c_done, hb_total, ratio_h, sup
-
-
-@jitted
-def _repeated_batch(alpha_p, alpha_q, beta_p, beta_q, gamma, tau, delta, sigma,
-                    horizon, seeds, c_send, c_wait,
-                    out_ratio, out_sup, out_ninv, out_ncomplete, out_nhb,
-                    out_tp, out_tq):
-    cap = 2 * horizon + 2
-    hb_in_p = np.zeros(horizon, np.uint8)
-    hb_in_q = np.zeros(horizon, np.uint8)
-    inv_start = np.empty(cap, np.int64)
-    inv_sender = np.empty(cap, np.int64)
-    inv_nsend = np.empty(cap, np.int64)
-    inv_wait = np.empty(cap, np.int64)
-    inv_finish = np.empty(cap, np.int64)
-    inv_complete = np.empty(cap, np.int64)
-    time_buf = np.empty(cap, np.int64)
-    cost_buf = np.empty(cap, np.float64)
-    big = horizon + 1
-    for r in range(seeds.shape[0]):
-        state = seeds[r]
-        state, raw = _sample_lifetime(state, alpha_p, beta_p)
-        tp = _NEVER if raw < 0 else raw
-        state, raw = _sample_lifetime(state, alpha_q, beta_q)
-        tq = _NEVER if raw < 0 else raw
-        n_inv, hb_p, hb_q = _repeated_run(
-            gamma, tau, delta, sigma, horizon, state, tp, tq,
-            hb_in_p, hb_in_q,
-            inv_start, inv_sender, inv_nsend, inv_wait, inv_finish, inv_complete)
-        n_complete, _c_done, _hb_tot, ratio_h, sup = _repeated_reduce(
-            n_inv, inv_nsend, inv_wait, inv_complete,
-            tp, tq, delta, horizon, c_send, c_wait, time_buf, cost_buf)
-        out_ratio[r] = ratio_h
-        out_sup[r] = sup
-        out_ninv[r] = n_inv
-        out_ncomplete[r] = n_complete
-        out_nhb[r] = hb_p + hb_q
-        out_tp[r] = tp if tp <= horizon else big
-        out_tq[r] = tq if tq <= horizon else big
+    return m, c_done, hb_total, ratio_h, sup
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +574,7 @@ def single_batch(proto_code, params, horizon, seeds,
     occur within the window; ``active`` is 1 when the run was truncated while
     the protocol could still send.
     """
+    horizon = _checked_horizon(horizon)
     n = seeds.shape[0]
     out_tp = np.empty(n, np.int64)
     out_tq = np.empty(n, np.int64)
@@ -602,7 +587,7 @@ def single_batch(proto_code, params, horizon, seeds,
         _single_batch(proto_code, params.alpha_p, params.alpha_q,
                       params.beta_p, params.beta_q, params.gamma,
                       int(params.tau), int(params.delta), float(ack_base),
-                      int(horizon), seeds,
+                      horizon, seeds,
                       int(force_tp), int(force_tq), int(force_loss_until),
                       out_tp, out_tq, out_tf, out_nsend, out_nhb,
                       out_active, out_quiesce)
@@ -613,8 +598,28 @@ def single_batch(proto_code, params, horizon, seeds,
     }
 
 
+def _checked_horizon(horizon):
+    horizon = int(horizon)
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    return horizon
+
+
+def _repeated_one(params, horizon, seed):
+    # lifetimes from the head of the stream, then the run on the rest
+    state, raw_p = sample_lifetime(seed, params.alpha_p, params.beta_p)
+    state, raw_q = sample_lifetime(state, params.alpha_q, params.beta_q)
+    tp = _NEVER if raw_p < 0 else int(raw_p)
+    tq = _NEVER if raw_q < 0 else int(raw_q)
+    arrays, hb_p, hb_q = _repeated_run(params.gamma, int(params.tau),
+                                       int(params.delta), params.sigma,
+                                       horizon, state, tp, tq)
+    return arrays, hb_p, hb_q, tp, tq
+
+
 def repeated_batch(params, costs, horizon, seeds):
     """Run a batch of repeated-mode runs; returns per-run average-cost arrays."""
+    horizon = _checked_horizon(horizon)
     n = seeds.shape[0]
     out = {
         "ratio": np.empty(n, np.float64),
@@ -625,13 +630,18 @@ def repeated_batch(params, costs, horizon, seeds):
         "t_p": np.empty(n, np.int64),
         "t_q": np.empty(n, np.int64),
     }
-    with np.errstate(over="ignore"):
-        _repeated_batch(params.alpha_p, params.alpha_q, params.beta_p,
-                        params.beta_q, params.gamma, int(params.tau),
-                        int(params.delta), params.sigma, int(horizon), seeds,
-                        costs.c_send, costs.c_wait,
-                        out["ratio"], out["sup"], out["n_inv"],
-                        out["n_complete"], out["n_hb"], out["t_p"], out["t_q"])
+    for r in range(n):
+        arrays, hb_p, hb_q, tp, tq = _repeated_one(params, horizon, seeds[r])
+        n_complete, _c_done, _hb_tot, ratio_h, sup = _repeated_reduce(
+            arrays["n_send"], arrays["wait"], arrays["complete_t"],
+            tp, tq, int(params.delta), horizon, costs.c_send, costs.c_wait)
+        out["ratio"][r] = ratio_h
+        out["sup"][r] = sup
+        out["n_inv"][r] = arrays["start"].size
+        out["n_complete"][r] = n_complete
+        out["n_hb"][r] = hb_p + hb_q
+        out["t_p"][r] = min(tp, horizon + 1)
+        out["t_q"][r] = min(tq, horizon + 1)
     return out
 
 
@@ -641,34 +651,10 @@ def repeated_run_arrays(params, horizon, seed):
     Returns (n_inv, arrays dict, hb_count_p, hb_count_q, t_p, t_q) with the
     crash ticks capped at horizon+1.
     """
-    cap = 2 * int(horizon) + 2
-    hb_in_p = np.zeros(int(horizon), np.uint8)
-    hb_in_q = np.zeros(int(horizon), np.uint8)
-    arr = {
-        "start": np.empty(cap, np.int64),
-        "sender": np.empty(cap, np.int64),
-        "n_send": np.empty(cap, np.int64),
-        "wait": np.empty(cap, np.int64),
-        "finish": np.empty(cap, np.int64),
-        "complete_t": np.empty(cap, np.int64),
-    }
-    with np.errstate(over="ignore"):
-        # re-coerce the stream state at every compiled-boundary crossing:
-        # jitted callees box uint64 returns as python ints
-        state, raw = _sample_lifetime(seed_state(seed), params.alpha_p, params.beta_p)
-        tp = _NEVER if raw < 0 else raw
-        state, raw = _sample_lifetime(seed_state(state), params.alpha_q, params.beta_q)
-        tq = _NEVER if raw < 0 else raw
-        n_inv, hb_p, hb_q = _repeated_run(
-            params.gamma, int(params.tau), int(params.delta), params.sigma,
-            int(horizon), seed_state(state), tp, tq, hb_in_p, hb_in_q,
-            arr["start"], arr["sender"], arr["n_send"], arr["wait"],
-            arr["finish"], arr["complete_t"])
-    big = int(horizon) + 1
-    arrays = {k: v[:n_inv].copy() for k, v in arr.items()}
-    tp_out = tp if tp <= horizon else big
-    tq_out = tq if tq <= horizon else big
-    return n_inv, arrays, int(hb_p), int(hb_q), int(tp_out), int(tq_out)
+    horizon = _checked_horizon(horizon)
+    arrays, hb_p, hb_q, tp, tq = _repeated_one(params, horizon, seed)
+    big = horizon + 1
+    return arrays["start"].size, arrays, hb_p, hb_q, min(tp, big), min(tq, big)
 
 
 def hb_sends_upto(t, t_x, delta, horizon):

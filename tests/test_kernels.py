@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -75,7 +76,23 @@ print(json.dumps(out, sort_keys=True))
 """
 
 
+def test_kernel_entry_points_reject_empty_horizons():
+    p = SystemParams(alpha_p=0, alpha_q=0, beta_p=0.05, beta_q=0.05,
+                     gamma=0.1, tau=2, delta=2, sigma=0.1)
+    seeds = kernels.make_seeds(1, 0, 4)
+    for horizon in (0, -5):
+        with pytest.raises(ValueError, match="horizon"):
+            kernels.single_batch(1, p, horizon, seeds)
+        with pytest.raises(ValueError, match="horizon"):
+            kernels.repeated_batch(p, CostParams(1.0, 1.0), horizon, seeds)
+        with pytest.raises(ValueError, match="horizon"):
+            kernels.repeated_run_arrays(p, horizon, 3)
+
+
 @pytest.mark.slow
+@pytest.mark.skipif(importlib.util.find_spec("numba") is None,
+                    reason="numba is not installed, so both subprocesses would "
+                           "run the same pure-Python fallback")
 def test_jit_and_fallback_modes_agree():
     """The env-flag fallback path must be bit-identical to the jitted path."""
     env = dict(os.environ)
