@@ -175,31 +175,43 @@ def closed_form_for(kind: str, metric: str, params: SystemParams,
 
 @dataclass
 class RunningStats:
-    """Streaming (count, sum, sum of squares) accumulator.
+    """Streaming (count, sum, M2) accumulator.
 
-    Merging is associative and order independent over the same chunking, so
-    fanning chunks out to workers reproduces the sequential result exactly.
+    ``mean`` is total/n.  The variance comes from M2, the sum of squared
+    deviations from the mean: each update takes its batch's M2 in two passes,
+    and updates and merges combine M2s with the pairwise formula of Chan,
+    Golub & LeVeque (The American Statistician 37(3), 1983), so data with a
+    large mean and a small spread keeps its variance.  Merging in chunk order
+    reproduces the sequential result exactly, so fanning chunks out to
+    workers does too.
     """
 
     n: int = 0
     total: float = 0.0
-    total_sq: float = 0.0
+    m2: float = 0.0
     n_censored: int = 0
 
     def update(self, values, censored=None) -> None:
         v = np.asarray(values, dtype=np.float64)
+        batch = RunningStats()
         if censored is not None:
             c = np.asarray(censored, dtype=bool)
-            self.n_censored += int(c.sum())
+            batch.n_censored = int(c.sum())
             v = v[~c]
-        self.n += int(v.size)
-        self.total += float(v.sum())
-        self.total_sq += float((v * v).sum())
+        batch.n = int(v.size)
+        batch.total = float(v.sum())
+        if batch.n:
+            batch.m2 = float(((v - batch.total / batch.n) ** 2).sum())
+        self.merge(batch)
 
     def merge(self, other: "RunningStats") -> None:
+        if self.n and other.n:
+            d = other.total / other.n - self.total / self.n
+            self.m2 += other.m2 + d * d * self.n * other.n / (self.n + other.n)
+        else:
+            self.m2 += other.m2
         self.n += other.n
         self.total += other.total
-        self.total_sq += other.total_sq
         self.n_censored += other.n_censored
 
     @property
@@ -212,8 +224,7 @@ class RunningStats:
     def variance(self) -> float:
         if self.n < 2:
             return 0.0
-        v = (self.total_sq - self.n * self.mean ** 2) / (self.n - 1)
-        return max(v, 0.0)
+        return self.m2 / (self.n - 1)
 
     @property
     def stderr(self) -> float:

@@ -164,7 +164,26 @@ def test_running_stats_merge_is_associative_on_counts():
     ab.update(chunks[0]); ab.update(chunks[1])
     cd.update(chunks[2]); cd.update(chunks[3])
     ab.merge(cd)
-    assert (left.n, left.total, left.total_sq) == (ab.n, ab.total, ab.total_sq)
+    assert (left.n, left.total) == (ab.n, ab.total)
+    assert left.m2 == pytest.approx(ab.m2, rel=1e-12)
+    assert left.m2 == pytest.approx(np.var(np.concatenate(chunks)) * left.n, rel=1e-12)
+
+
+def test_running_stats_variance_survives_a_large_mean():
+    # sum-of-squares variance cancels to 0.0 here; the true value is ~0.667
+    values = 1e9 + np.arange(10_000) % 3
+    want = np.var(values - 1e9, ddof=1)
+    whole = RunningStats()
+    whole.update(values)
+    chunked = RunningStats()
+    for part in np.array_split(values, 7):
+        o = RunningStats()
+        o.update(part)
+        chunked.merge(o)
+    for s in (whole, chunked):
+        assert s.mean == float(values.sum()) / values.size
+        assert s.variance == pytest.approx(want, rel=1e-9)
+        assert s.stderr > 0.0
 
 
 # --- curve, probes, lambda, optimizer ----------------------------------------
