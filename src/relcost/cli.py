@@ -70,8 +70,10 @@ def load_config(path: str) -> ExperimentConfig:
     for key in ("system", "costs"):
         if key not in raw:
             raise ConfigError(f"missing config key: {key}")
+    proto_docs = raw["protocols"] if "protocols" in raw else [raw["protocol"]]
+    if not isinstance(proto_docs, list) or not proto_docs:
+        raise ConfigError(f"protocols must be a non-empty list, got {proto_docs!r}")
     try:
-        proto_docs = raw.get("protocols") or [raw["protocol"]]
         protocols = [protocol_spec_from_dict(d) for d in proto_docs]
         system = system_params_from_dict(raw["system"])
         costs = cost_params_from_dict(raw["costs"])
@@ -87,8 +89,11 @@ def load_config(path: str) -> ExperimentConfig:
         extra = sorted(set(delta_range) - {"min", "max"})
         if extra:
             raise ConfigError(f"unknown delta_range keys: {', '.join(extra)}")
-        delta_range = list(range(int(delta_range["min"]),
-                                 int(delta_range["max"]) + 1))
+        lo = _integer(delta_range, "min", None, 1, "delta_range min")
+        hi = _integer(delta_range, "max", None, lo, "delta_range max")
+        delta_range = list(range(lo, hi + 1))
+    else:
+        delta_range = _int_list(raw, "delta_range", 1)
     mode = raw.get("mode", "single")
     if mode not in ("single", "repeated"):
         raise ConfigError(f"mode must be 'single' or 'repeated', got {mode!r}")
@@ -97,23 +102,66 @@ def load_config(path: str) -> ExperimentConfig:
     probe = raw.get("probe")
     if probe is not None and probe not in ("divergence", "impossibility", "c1_growth"):
         raise ConfigError(f"unknown probe {probe!r}")
+    metrics = raw.get("metrics", [])
+    if not isinstance(metrics, list) or any(m not in analysis.METRICS for m in metrics):
+        raise ConfigError(f"metrics must be a list drawn from {list(analysis.METRICS)}, "
+                          f"got {metrics!r}")
+    t_grid = _int_list(raw, "t_grid", 0)
+    if t_grid and any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise ConfigError(f"t_grid must be strictly increasing, got {t_grid!r}")
+    lam = raw.get("lambda")
+    if lam is not None:
+        if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not 0 < lam < 1:
+            raise ConfigError(f"lambda must be a number in (0, 1), got {lam!r}")
+        lam = float(lam)
     return ExperimentConfig(
         protocol=protocols[0], protocols=protocols, system=system,
-        costs=costs, mode=mode,
-        metrics=raw.get("metrics", []),
-        n_runs=int(raw.get("n_runs", 1000)),
-        horizon=int(raw.get("horizon", 4096)),
-        seed=int(raw.get("seed", 0)),
-        t_grid=raw.get("t_grid"),
+        costs=costs, mode=mode, metrics=metrics,
+        n_runs=_integer(raw, "n_runs", 1000, 2),
+        horizon=_integer(raw, "horizon", 4096, 1),
+        seed=_integer(raw, "seed", 0, 0, hi=2 ** 64 - 1),
+        t_grid=t_grid,
         delta_range=delta_range,
-        horizons=raw.get("horizons"),
-        tolerance=float(raw.get("tolerance", 0.05)),
-        epsilon_gate=float(raw.get("epsilon_gate", analysis.DEFAULT_EPSILON_GATE)),
-        lam=raw.get("lambda"),
+        horizons=_int_list(raw, "horizons", 1),
+        tolerance=_number(raw, "tolerance", 0.05, 0.0),
+        epsilon_gate=_number(raw, "epsilon_gate", analysis.DEFAULT_EPSILON_GATE, 0.0),
+        lam=lam,
         probe=probe,
-        growth_threshold=float(raw.get("growth_threshold", 1.3)),
-        bounded_tol=float(raw.get("bounded_tol", 0.05)),
+        growth_threshold=_number(raw, "growth_threshold", 1.3, 0.0),
+        bounded_tol=_number(raw, "bounded_tol", 0.05, 0.0),
     )
+
+
+def _integer(doc, key, default, lo, name=None, hi=None):
+    """doc[key] (or the default) as an integer in [lo, hi]."""
+    value = doc.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, int) or value < lo
+            or (hi is not None and value > hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{name or key} must be an integer {bound}, got {value!r}")
+    return value
+
+
+def _number(doc, key, default, lo, hi=math.inf):
+    """doc[key] (or the default) as a finite float in [lo, hi]."""
+    value = doc.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not lo <= value <= hi or math.isinf(value)):
+        raise ConfigError(f"{key} must be a finite number in [{lo}, {hi}], got {value!r}")
+    return float(value)
+
+
+def _int_list(doc, key, lo):
+    """doc[key] as a non-empty list of integers >= lo, or None when absent."""
+    value = doc.get(key)
+    if value is None:
+        return None
+    if (not isinstance(value, list) or not value
+            or any(isinstance(v, bool) or not isinstance(v, int) or v < lo
+                   for v in value)):
+        raise ConfigError(f"{key} must be a non-empty list of integers >= {lo}, "
+                          f"got {value!r}")
+    return value
 
 
 def _sanitize(obj):

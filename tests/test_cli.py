@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 
 from relcost.cli import main
 
@@ -206,3 +207,37 @@ def test_seed_override_changes_trace(tmp_path):
                  "--seed-override", "77"]) == 0
     assert (out / "trace-77.log").exists()
     assert read_json(out / "summary.json")["seed"] == 77
+
+
+BAD_FIELDS = [
+    ("n_runs", "abc"), ("n_runs", 1), ("horizon", -5), ("horizon", 0),
+    ("horizon", 2.5), ("seed", -1), ("seed", "7"), ("metrics", ["t_wait", "bogus"]),
+    ("metrics", "t_wait"), ("lambda", "0.5"), ("lambda", 1.0),
+    ("tolerance", "0.05"), ("tolerance", -0.1), ("horizons", [64, "128"]),
+    ("horizons", []), ("t_grid", [3, 3]), ("delta_range", {"min": 5, "max": 2}),
+    ("delta_range", [0, 1]), ("protocols", []),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_FIELDS,
+                         ids=[f"{k}={v!r}" for k, v in BAD_FIELDS])
+def test_bad_config_field_exits_2_with_one_line(tmp_path, capsys, key, value):
+    system = {"alpha_p": 0.0, "alpha_q": 0.0, "beta_p": 0.05, "beta_q": 0.05,
+              "gamma": 0.1, "tau": 2, "delta": 2, "sigma": 0.0}
+    doc = {"protocol": {"kind": "sender"}, "system": system, "costs": COSTS,
+           "metrics": ["t_wait"], "n_runs": 200, "horizon": 256, "seed": 1}
+    doc[key] = value
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_numeric_system_parameter_exits_2(tmp_path, capsys):
+    system = dict(SYSTEM_DET, beta_p="0.5")
+    cfg = write_config(tmp_path, "c.json", {
+        "protocol": {"kind": "trivial"}, "system": system, "costs": COSTS,
+    })
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: system parameter beta_p")
