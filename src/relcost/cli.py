@@ -142,12 +142,12 @@ def _integer(doc, key, default, lo, name=None, hi=None):
     return value
 
 
-def _number(doc, key, default, lo, hi=math.inf):
-    """doc[key] (or the default) as a finite float in [lo, hi]."""
+def _number(doc, key, default, lo):
+    """doc[key] (or the default) as a finite float >= lo."""
     value = doc.get(key, default)
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not lo <= value <= hi or math.isinf(value)):
-        raise ConfigError(f"{key} must be a finite number in [{lo}, {hi}], got {value!r}")
+            or not lo <= value < math.inf):
+        raise ConfigError(f"{key} must be a finite number >= {lo}, got {value!r}")
     return float(value)
 
 

@@ -222,12 +222,17 @@ def _repeated_reduce(n_inv, inv_nsend, inv_wait, inv_complete,
 
 
 def run(params, horizon, seed):
-    """One run from its seed: (lifetimes, per-invocation arrays, heartbeat
-    counts), with raw crash ticks (``_NEVER`` = never)."""
+    """One run from its seed: (raw crash ticks, per-invocation arrays,
+    heartbeat counts); ``_NEVER`` is a crash that never happens."""
     state, raw = kernels.sample_lifetime(seed, params.alpha_p, params.beta_p)
     tp = _NEVER if raw < 0 else int(raw)
     state, raw = kernels.sample_lifetime(state, params.alpha_q, params.beta_q)
     tq = _NEVER if raw < 0 else int(raw)
+    return (tp, tq) + run_after_lifetimes(params, horizon, int(state), tp, tq)
+
+
+def run_after_lifetimes(params, horizon, state, tp, tq):
+    """The run past the lifetime draws: (arrays, hb_count_p, hb_count_q)."""
     cap = 2 * horizon + 2
     hb_in_p = np.zeros(horizon, np.uint8)
     hb_in_q = np.zeros(horizon, np.uint8)
@@ -235,9 +240,8 @@ def run(params, horizon, seed):
     arr = {k: np.empty(cap, np.int64) for k in names}
     n_inv, hb_p, hb_q = _repeated_run(
         params.gamma, int(params.tau), int(params.delta), params.sigma,
-        horizon, int(state), tp, tq, hb_in_p, hb_in_q,
-        *(arr[k] for k in names))
-    return tp, tq, {k: v[:n_inv].copy() for k, v in arr.items()}, hb_p, hb_q
+        horizon, state, tp, tq, hb_in_p, hb_in_q, *(arr[k] for k in names))
+    return {k: v[:n_inv].copy() for k, v in arr.items()}, hb_p, hb_q
 
 
 def reduce(arrays, t_p, t_q, delta, horizon, c_send, c_wait):

@@ -74,6 +74,43 @@ def test_repeated_kernel_matches_reference_past_one_block(
     assert_same_run(p, CostParams(c_send, c_wait), horizon, seed)
 
 
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), gamma=prob, tau=st.integers(1, 6), delta=st.integers(1, 6),
+       sigma=prob, horizon=st.integers(1, 120), c_send=cost, c_wait=cost,
+       state=seeds)
+def test_repeated_run_matches_reference_at_chosen_crash_ticks(
+        data, gamma, tau, delta, sigma, horizon, c_send, c_wait, state):
+    # crash ticks around the horizon, where completion certification turns
+    # on heartbeats still in flight
+    tick = st.one_of(st.just(ref._NEVER), st.integers(0, 3),
+                     st.integers(max(0, horizon - 7), horizon + 2))
+    tp, tq = data.draw(tick), data.draw(tick)
+    p = system((0.0, 0.0), (1.0, 1.0), gamma, tau, delta, sigma)
+    want, hb_p, hb_q = ref.run_after_lifetimes(p, horizon, state, tp, tq)
+    got, got_hb_p, got_hb_q = kernels._repeated_run(gamma, tau, delta, sigma,
+                                                     horizon, state, tp, tq)
+    assert (got_hb_p, got_hb_q) == (hb_p, hb_q)
+    for k, v in want.items():
+        assert np.array_equal(got[k], v), k
+    want_sum = ref.reduce(want, tp, tq, delta, horizon, c_send, c_wait)
+    got_sum = kernels._repeated_reduce(got["n_send"], got["wait"], got["complete_t"],
+                                       tp, tq, delta, horizon, c_send, c_wait)
+    assert np.array_equal(np.array(got_sum, np.float64), np.array(want_sum, np.float64))
+
+
+def test_completion_waits_for_heartbeats_in_flight():
+    # q crashes two ticks before the horizon with heartbeats to p still in
+    # flight, so p's late invocations cannot be certified complete
+    p = system((0.0, 0.0), (1.0, 1.0), 0.5, 4, 6, 0.3)
+    want, hb_p, hb_q = ref.run_after_lifetimes(p, 57, 12345, 55, ref._NEVER)
+    got, got_hb_p, got_hb_q = kernels._repeated_run(0.5, 4, 6, 0.3, 57, 12345,
+                                                     55, ref._NEVER)
+    assert (want["complete_t"] == -1).any()
+    assert (got_hb_p, got_hb_q) == (hb_p, hb_q)
+    for k, v in want.items():
+        assert np.array_equal(got[k], v), k
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(0, 40), t_p=st.integers(0, 70),
        t_q=st.integers(0, 70), never=st.tuples(st.booleans(), st.booleans()),
