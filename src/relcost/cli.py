@@ -342,11 +342,11 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        if args.seed_override is not None:
+            cfg.seed = _integer(vars(args), "seed_override", None, 0, hi=2 ** 64 - 1)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed_override is not None:
-        cfg.seed = args.seed_override
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:

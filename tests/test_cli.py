@@ -207,6 +207,9 @@ def test_seed_override_changes_trace(tmp_path):
                  "--seed-override", "77"]) == 0
     assert (out / "trace-77.log").exists()
     assert read_json(out / "summary.json")["seed"] == 77
+    # a seed outside [0, 2**64) would alias another seed's run
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "neg"),
+                 "--seed-override", "-1"]) == 2
 
 
 BAD_FIELDS = [
