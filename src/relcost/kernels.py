@@ -390,21 +390,22 @@ def _hb_upto(t, t_x, delta, horizon):
     return np.where(m < 0, 0, m // delta + 1)
 
 
-def _heartbeats(state, first, gamma, tau, delta, horizon, t_x, t_rcv, hb_in):
+def _heartbeats(state, first, gamma, tau, delta, horizon, t_x, t_rcv):
     """One heartbeat direction: a send at every multiple of delta before
     min(horizon, t_x), each with one loss coin.
 
-    Marks the in-window arrivals in ``hb_in``; returns (sends, last arrival
-    before t_rcv or -1)."""
+    Returns (sends, in-window arrival ticks in increasing order, last
+    arrival before t_rcv or -1)."""
     n = -(-min(horizon, t_x) // delta)
+    arrivals = [np.empty(0, np.int64)]
     last = -1
     for b, k in _blocks(n):
         arr = (np.flatnonzero(_unit_draws(state, first + b, k) >= gamma) + b) * delta + tau
-        hb_in[arr[arr < horizon]] = 1
+        arrivals.append(arr[arr < horizon])
         live = arr[arr < t_rcv]
         if live.size:
             last = int(live[-1])
-    return n, last
+    return n, np.concatenate(arrivals), last
 
 
 def _invocations(state, first, sigma, horizon, t_p, t_q):
@@ -436,19 +437,16 @@ def _repeated_run(gamma, tau, delta, sigma, horizon, state, t_p, t_q):
     past the horizon cannot be ruled out.
     """
     state = int(state)
-    hb_in_p = np.zeros(horizon, np.uint8)
-    hb_in_q = np.zeros(horizon, np.uint8)
-    hb_count_p, last_trigger_q = _heartbeats(state, 0, gamma, tau, delta,
-                                             horizon, t_p, t_q, hb_in_q)
-    hb_count_q, last_trigger_p = _heartbeats(state, hb_count_p, gamma, tau, delta,
-                                             horizon, t_q, t_p, hb_in_p)
+    # trig_x: ticks at which a heartbeat reaches x, the triggers of x's walks
+    hb_count_p, trig_q, last_trigger_q = _heartbeats(state, 0, gamma, tau, delta,
+                                                     horizon, t_p, t_q)
+    hb_count_q, trig_p, last_trigger_p = _heartbeats(state, hb_count_p, gamma, tau,
+                                                     delta, horizon, t_q, t_p)
     used = hb_count_p + hb_count_q
     start, sender, n_coins = _invocations(state, used, sigma, horizon, t_p, t_q)
     # the per-invocation loss coins follow, walk by walk
     state = (state + (used + n_coins) * _GOLDEN) & _MASK
 
-    trig_p = np.flatnonzero(hb_in_p)
-    trig_q = np.flatnonzero(hb_in_q)
     first = np.where(sender == 0, np.searchsorted(trig_p, start),
                      np.searchsorted(trig_q, start))
     # per sender: inbound heartbeat ticks and their count, own and peer
