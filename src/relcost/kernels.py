@@ -351,7 +351,7 @@ def _single_batch(proto, alpha_p, alpha_q, beta_p, beta_q, gamma, tau, delta,
 # repeated mode: numpy over counter-based draws
 
 # the most draws one numpy pass computes; bounds a run's scratch memory
-_BLOCK = 1 << 14
+_BLOCK = 1 << 12
 
 
 def _unit_draws(state, first, n):
@@ -367,7 +367,8 @@ def _unit_draws(state, first, n):
     np.right_shift(z, np.uint64(31), out=tmp)
     z ^= tmp
     z >>= np.uint64(11)
-    u = z.astype(np.float64)
+    u = tmp.view(np.float64)
+    np.copyto(u, z, casting="unsafe")
     u *= 1.1102230246251565e-16
     return u
 
@@ -397,15 +398,21 @@ def _heartbeats(state, first, gamma, tau, delta, horizon, t_x, t_rcv):
     Returns (sends, in-window arrival ticks in increasing order, last
     arrival before t_rcv or -1)."""
     n = -(-min(horizon, t_x) // delta)
-    arrivals = [np.empty(0, np.int64)]
+    arrivals = np.empty(n, np.int64)
+    m = 0
     last = -1
     for b, k in _blocks(n):
-        arr = (np.flatnonzero(_unit_draws(state, first + b, k) >= gamma) + b) * delta + tau
-        arrivals.append(arr[arr < horizon])
+        arr = np.flatnonzero(_unit_draws(state, first + b, k) >= gamma)
+        arr += b
+        arr *= delta
+        arr += tau
         live = arr[arr < t_rcv]
         if live.size:
             last = int(live[-1])
-    return n, np.concatenate(arrivals), last
+        arr = arr[arr < horizon]
+        arrivals[m:m + arr.size] = arr
+        m += arr.size
+    return n, arrivals[:m], last
 
 
 def _invocations(state, first, sigma, horizon, t_p, t_q):
