@@ -502,12 +502,14 @@ def _repeated_run(gamma, tau, delta, sigma, horizon, state, t_p, t_q):
         finish.append(fin)
         complete.append(-1 if incomplete else (last_send if last_send >= 0 else s))
 
+    # the wait ends at the first crash, the finish, or the horizon
     finish = np.array(finish, np.int64)
-    w_min = min(t_p, t_q)
-    w_min = np.minimum(np.where((finish >= 0) & (finish < w_min), finish, w_min), horizon)
+    first_crash = min(t_p, t_q)
+    wait_end = np.minimum(np.where((finish >= 0) & (finish < first_crash), finish,
+                                   first_crash), horizon)
     arrays = {
         "start": start, "sender": sender, "n_send": np.array(n_send, np.int64),
-        "wait": np.maximum(w_min - start, 0), "finish": finish,
+        "wait": np.maximum(wait_end - start, 0), "finish": finish,
         "complete_t": np.array(complete, np.int64),
     }
     return arrays, hb_count_p, hb_count_q

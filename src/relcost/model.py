@@ -145,9 +145,9 @@ def _from_strict_dict(cls, data, what):
     if missing:
         raise ValueError(f"missing {what} keys: {', '.join(missing)}")
     for f in fields(cls):
-        value = data.get(f.name, 0)
-        if f.type in ("int", "float") and (isinstance(value, bool)
-                                          or not isinstance(value, (int, float))):
+        value = data.get(f.name)
+        if f.name in data and f.type in ("int", "float") and (
+                isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ValueError(f"{what} {f.name} must be a number, got {value!r}")
     return cls(**data)
 

@@ -10,8 +10,7 @@ import repeated_reference as ref
 from relcost import kernels
 from relcost.model import CostParams, SystemParams
 
-unit = st.floats(0.0, 1.0)
-prob = st.one_of(st.sampled_from([0.0, 1.0]), unit)
+prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 rate = st.one_of(st.just(1.0), st.floats(1e-4, 1.0))
 cost = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 10.0))
 seeds = st.integers(0, 2 ** 64 - 1)
