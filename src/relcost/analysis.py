@@ -264,8 +264,14 @@ class EstimateReport:
         return d
 
 
-def _chunk_ranges(n_runs: int):
-    return [(s, min(CHUNK, n_runs - s)) for s in range(0, n_runs, CHUNK)]
+def _map_chunks(fn, n_runs: int, jobs: int) -> list:
+    """fn((start, count)) over the CHUNK-sized run ranges of n_runs runs,
+    on ``jobs`` threads when jobs > 1; results come back in chunk order."""
+    ranges = [(s, min(CHUNK, n_runs - s)) for s in range(0, n_runs, CHUNK)]
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, ranges))
+    return [fn(r) for r in ranges]
 
 
 def _single_metric_arrays(arrays, metric, costs, horizon, truncate):
@@ -338,15 +344,9 @@ def estimate(protocol: ProtocolSpec, params: SystemParams, costs: CostParams,
             stats.update(vals, cens)
         return stats
 
-    ranges = _chunk_ranges(n_runs)
     merged = RunningStats()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for stats in pool.map(run_chunk, ranges):
-                merged.merge(stats)
-    else:
-        for rng in ranges:
-            merged.merge(run_chunk(rng))
+    for stats in _map_chunks(run_chunk, n_runs, jobs):
+        merged.merge(stats)
 
     if merged.n == 0:
         raise RuntimeError(
@@ -412,13 +412,7 @@ def s2_curve(protocol: ProtocolSpec, params: SystemParams, t_grid,
         fin = up & (arrays["t_f"][:, None] < grid_arr[None, :])
         return up.sum(axis=0), fin.sum(axis=0)
 
-    ranges = _chunk_ranges(n_runs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_chunk, ranges))
-    else:
-        results = [run_chunk(r) for r in ranges]
-    for up, fin in results:
+    for up, fin in _map_chunks(run_chunk, n_runs, jobs):
         up_counts += up
         fin_counts += fin
 
@@ -698,13 +692,7 @@ def estimate_lambda(params: SystemParams, costs: CostParams, n_runs: int,
         cs.update(arrays["n_complete"])
         return rs, cs
 
-    ranges = _chunk_ranges(n_runs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_chunk, ranges))
-    else:
-        results = [run_chunk(r) for r in ranges]
-    for rs, cs in results:
+    for rs, cs in _map_chunks(run_chunk, n_runs, jobs):
         ratio_stats.merge(rs)
         completed_stats.merge(cs)
 

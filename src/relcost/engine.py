@@ -265,15 +265,6 @@ def run_repeated(params: SystemParams, seed: int, horizon: int) -> RepeatedTrace
 # ---------------------------------------------------------------------------
 # serialization and audit
 
-def render_time(t: int, horizon: int) -> str:
-    return "inf" if t > horizon else str(t)
-
-
-def trace_to_lines(trace: RunTrace) -> list[str]:
-    """Line-oriented event record: `time actor action kind inv lost`."""
-    return list(trace.events)
-
-
 def repeated_trace_to_lines(trace: RepeatedTrace) -> list[str]:
     lines = []
     evts = []
@@ -291,8 +282,9 @@ def repeated_trace_to_lines(trace: RepeatedTrace) -> list[str]:
 
 
 def serialize_trace(trace) -> str:
+    """Line-oriented event record: `time actor action kind inv lost`."""
     if isinstance(trace, RunTrace):
-        return "\n".join(trace_to_lines(trace)) + "\n"
+        return "\n".join(trace.events) + "\n"
     return "\n".join(repeated_trace_to_lines(trace)) + "\n"
 
 

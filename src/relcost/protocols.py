@@ -198,23 +198,3 @@ def make_machines(spec: ProtocolSpec, params: SystemParams):
         return SenderDrivenSender(1), DelayedAckReceiver(spec.ack_base)
     raise ValueError(f"unknown protocol kind {spec.kind!r}")
 
-
-def srhb_pair():
-    """The heartbeat-driven sender/receiver machine pair."""
-    return HeartbeatSender(), AckingReceiver()
-
-
-def trivial():
-    return TrivialMachine(), TrivialMachine()
-
-
-def sender_driven(delta):
-    return SenderDrivenSender(delta), AckingReceiver()
-
-
-def receiver_driven(delta):
-    return ReceiverDrivenSender(), ReceiverDrivenReceiver(delta)
-
-
-def pathological(ack_base):
-    return SenderDrivenSender(1), DelayedAckReceiver(ack_base)

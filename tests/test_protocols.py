@@ -1,11 +1,15 @@
 import math
 
+from relcost.model import ProtocolSpec, SystemParams
 from relcost.protocols import (ACK, HBMSG, MSG, REQ, AckingReceiver,
-                               DelayedAckReceiver, HeartbeatSender,
-                               ReceiverDrivenReceiver, ReceiverDrivenSender,
-                               SenderDrivenSender, TrivialMachine,
-                               pathological, receiver_driven, sender_driven,
-                               srhb_pair, trivial)
+                               SenderDrivenSender, TrivialMachine, make_machines)
+
+
+def machines(kind, delta=1, ack_base=2.0):
+    """The (p, q) machine pair of one protocol with period delta."""
+    params = SystemParams(alpha_p=1.0, alpha_q=1.0, beta_p=0.5, beta_q=0.5,
+                          gamma=0.0, tau=1, delta=delta)
+    return make_machines(ProtocolSpec(kind, ack_base=ack_base), params)
 
 
 def drive(machine, script):
@@ -17,7 +21,7 @@ def drive(machine, script):
 
 
 def test_trivial_never_reacts():
-    m, r = trivial()
+    m, r = machines("trivial")
     script = [("on_start", 0)] + [("on_deliver", t, k)
                                   for t in range(5) for k in (MSG, ACK, REQ, HBMSG)]
     script += [("on_tick", t) for t in range(2000)]
@@ -47,7 +51,7 @@ def test_acking_receiver_finishes_once_and_keeps_acking():
 
 
 def test_receiver_driven_pair():
-    snd, rcv = receiver_driven(2)
+    snd, rcv = machines("receiver", delta=2)
     assert rcv.on_tick(0) == [REQ]
     assert rcv.on_tick(1) == []
     assert rcv.on_tick(2) == [REQ]
@@ -61,7 +65,7 @@ def test_receiver_driven_pair():
 
 
 def test_srhb_sender_triggers_on_heartbeats_until_acked():
-    s, r = srhb_pair()
+    s, r = machines("srhb")
     assert s.on_deliver(4, HBMSG) == [MSG]
     assert s.on_deliver(7, HBMSG) == [MSG]
     # ack delivered before the heartbeat on the same tick: loop guard wins
@@ -72,13 +76,13 @@ def test_srhb_sender_triggers_on_heartbeats_until_acked():
 
 
 def test_srhb_sender_inert_without_future_heartbeats():
-    s, _ = srhb_pair()
+    s, _ = machines("srhb")
     assert not s.inert(True)
     assert s.inert(False)
 
 
 def test_pathological_kth_ack_delay():
-    _, r = pathological(2.5)
+    _, r = machines("pathological", ack_base=2.5)
     r.on_deliver(3, MSG)
     r.on_deliver(4, MSG)
     r.on_deliver(4, MSG)  # duplicates count: every receipt increments k
@@ -93,7 +97,7 @@ def test_pathological_kth_ack_delay():
 
 
 def test_pathological_sender_has_unit_period():
-    s, _ = pathological(3.0)
+    s, _ = machines("pathological", ack_base=3.0)
     assert [t for t in range(4) if s.on_tick(t)] == [0, 1, 2, 3]
 
 
@@ -102,8 +106,10 @@ def test_machines_are_deterministic():
               + [("on_tick", t) for t in range(6)]
               + [("on_deliver", 6, HBMSG), ("on_deliver", 7, MSG),
                  ("on_deliver", 8, ACK), ("on_tick", 9)])
-    for make in (lambda: sender_driven(2)[0], lambda: srhb_pair()[0],
-                 lambda: receiver_driven(3)[1], lambda: pathological(2.0)[1],
+    for make in (lambda: machines("sender", delta=2)[0],
+                 lambda: machines("srhb")[0],
+                 lambda: machines("receiver", delta=3)[1],
+                 lambda: machines("pathological")[1],
                  lambda: TrivialMachine()):
         a = drive(make(), list(script))
         b = drive(make(), list(script))
@@ -115,9 +121,7 @@ def test_no_machine_ever_emits_heartbeats():
               + [("on_deliver", t, k) for t in range(8)
                  for k in (MSG, ACK, REQ, HBMSG)]
               + [("on_tick", t) for t in range(40)])
-    for make in (lambda: sender_driven(1)[0], lambda: sender_driven(1)[1],
-                 lambda: receiver_driven(2)[0], lambda: receiver_driven(2)[1],
-                 lambda: srhb_pair()[0], lambda: srhb_pair()[1],
-                 lambda: pathological(1.5)[0], lambda: pathological(1.5)[1],
-                 lambda: TrivialMachine()):
-        assert HBMSG not in drive(make(), list(script))
+    for kind, delta in (("sender", 1), ("receiver", 2), ("srhb", 1),
+                        ("pathological", 1), ("trivial", 1)):
+        for machine in machines(kind, delta=delta, ack_base=1.5):
+            assert HBMSG not in drive(machine, list(script))
