@@ -10,8 +10,8 @@ from .analysis import (DivergenceReport, EstimateReport, ImpossibilityReport,
                        s2_curve, sender_expected_sends, sender_expected_wait,
                        receiver_expected_sends, receiver_expected_wait,
                        trivial_expected_wait)
-from .cost import (AvgCostPoint, CostBreakdown, avg_cost_series, breakdown,
-                   cost_c0, cost_c1, final_ratio, num_sends, t_wait)
+from .cost import (CostBreakdown, avg_cost_series, breakdown, cost_c0, cost_c1,
+                   num_sends, t_wait)
 from .engine import (MessageRecord, RepeatedTrace, RunTrace, audit_trace,
                      run_repeated, run_single, sample_lifetimes,
                      serialize_trace)

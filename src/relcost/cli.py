@@ -106,9 +106,12 @@ def load_config(path: str) -> ExperimentConfig:
     if not isinstance(metrics, list) or any(m not in analysis.METRICS for m in metrics):
         raise ConfigError(f"metrics must be a list drawn from {list(analysis.METRICS)}, "
                           f"got {metrics!r}")
-    t_grid = _int_list(raw, "t_grid", 0)
-    if t_grid and any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ConfigError(f"t_grid must be strictly increasing, got {t_grid!r}")
+    if "c_avg" in metrics and any(p.kind != "srhb" for p in protocols):
+        raise ConfigError("the average-cost metric c_avg is defined for the srhb protocol")
+    horizon = _integer(raw, "horizon", 4096, 1)
+    t_grid = _increasing(raw, "t_grid", 0)
+    if t_grid and t_grid[-1] > horizon:
+        raise ConfigError(f"t_grid exceeds the horizon {horizon}, got {t_grid!r}")
     lam = raw.get("lambda")
     if lam is not None:
         if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not 0 < lam < 1:
@@ -118,11 +121,11 @@ def load_config(path: str) -> ExperimentConfig:
         protocol=protocols[0], protocols=protocols, system=system,
         costs=costs, mode=mode, metrics=metrics,
         n_runs=_integer(raw, "n_runs", 1000, 2),
-        horizon=_integer(raw, "horizon", 4096, 1),
+        horizon=horizon,
         seed=_integer(raw, "seed", 0, 0, hi=2 ** 64 - 1),
         t_grid=t_grid,
         delta_range=delta_range,
-        horizons=_int_list(raw, "horizons", 1),
+        horizons=_increasing(raw, "horizons", 1),
         tolerance=_number(raw, "tolerance", 0.05, 0.0),
         epsilon_gate=_number(raw, "epsilon_gate", analysis.DEFAULT_EPSILON_GATE, 0.0),
         lam=lam,
@@ -164,6 +167,14 @@ def _int_list(doc, key, lo):
     return value
 
 
+def _increasing(doc, key, lo):
+    """doc[key] as a strictly increasing list of integers >= lo, or None."""
+    value = _int_list(doc, key, lo)
+    if value and any(b <= a for a, b in zip(value, value[1:])):
+        raise ConfigError(f"{key} must be strictly increasing, got {value!r}")
+    return value
+
+
 def _sanitize(obj):
     """inf -> "inf" strings so emitted JSON stays standard."""
     if isinstance(obj, float):
@@ -199,7 +210,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
             "n_invocations": len(trace.invocations),
             "n_completed": sum(1 for r in trace.invocations if r.complete_t >= 0),
             "hb_count_p": trace.hb_count_p, "hb_count_q": trace.hb_count_q,
-            "final_ratio": points[-1].ratio if points else 0.0,
+            "final_ratio": float(points.ratio[-1]) if len(points) else 0.0,
             "running_sup": sup,
         }
     else:

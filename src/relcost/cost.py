@@ -9,10 +9,12 @@ sentinel, matching its role as an unbounded penalty.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import kernels
 from .engine import RepeatedTrace, RunTrace
 from .model import CostParams
 from .protocols import HBMSG
@@ -24,15 +26,6 @@ class CostBreakdown:
     wait: int | None          # receiver waiting time, crash-truncated
     c0: float | None          # linear cost
     c1: float | None          # exponential waiting penalty (may be inf)
-
-
-@dataclass(frozen=True)
-class AvgCostPoint:
-    t: int
-    c_total: float
-    num_completed: int
-    num_hb: int
-    ratio: float              # c_total / (num_completed + 1)
 
 
 def t_wait(trace: RunTrace) -> int | None:
@@ -81,69 +74,42 @@ def breakdown(trace: RunTrace, costs: CostParams) -> CostBreakdown:
     )
 
 
-def _hb_send_times(crash_t: int, delta: int, horizon: int) -> list[int]:
-    # a process sends heartbeats at local times 0, delta, ... while alive
-    end = min(crash_t, horizon)
-    return list(range(0, end, delta))
-
-
 def avg_cost_series(trace: RepeatedTrace, costs: CostParams):
     """Average-cost-per-invocation series of a repeated run.
 
-    c_total(t) sums the c0 of invocations completed by t plus the cost of
-    every heartbeat sent by t; the ratio divides by (completions + 1) so the
-    denominator is never zero.  One point per completion or heartbeat event.
-    Returns (points, running_sup); the running sup is the finite-horizon
-    stand-in for the limit-superior cost.
+    One point per event tick: every completion tick and every heartbeat
+    send tick, in increasing order.  The values come from
+    ``kernels.avg_cost_at``, the definition ``compare`` uses too:
+    c_total(t) is the c0 of the invocations completed by t plus the cost of
+    every heartbeat sent by t, and the ratio divides it by (completions + 1).
+    Invocations completing on the same tick are added in ``np.argsort``
+    order of their completion ticks, taken in invocation-id order.
+
+    Returns (points, running_sup): ``points`` is a record array with the
+    fields t, c_total, num_completed, num_hb and ratio; the running sup is
+    the finite-horizon stand-in for the limit-superior cost.
     """
-    completions = sorted(
-        (r.complete_t, r.n_send * costs.c_send + r.wait * costs.c_wait)
-        for r in trace.invocations if r.complete_t >= 0
-    )
-    hb_times = sorted(
-        _hb_send_times(trace.t_p, trace.delta, trace.horizon)
-        + _hb_send_times(trace.t_q, trace.delta, trace.horizon)
-    )
-    event_times = sorted({t for t, _ in completions} | set(hb_times))
-    points: list[AvgCostPoint] = []
-    sup = 0.0
-    ci = hi = 0
-    c_done = 0.0
-    k_done = 0
-    n_hb = 0
-    for t in event_times:
-        while ci < len(completions) and completions[ci][0] <= t:
-            c_done += completions[ci][1]
-            k_done += 1
-            ci += 1
-        while hi < len(hb_times) and hb_times[hi] <= t:
-            n_hb += 1
-            hi += 1
-        c_total = c_done + n_hb * costs.c_send
-        ratio = c_total / (k_done + 1)
-        if ratio > sup:
-            sup = ratio
-        points.append(AvgCostPoint(t=t, c_total=c_total, num_completed=k_done,
-                                   num_hb=n_hb, ratio=ratio))
+    invs = trace.invocations
+    times, c_done = kernels.completed_cost(
+        np.array([r.n_send for r in invs], np.int64),
+        np.array([r.wait for r in invs], np.int64),
+        np.array([r.complete_t for r in invs], np.int64),
+        costs.c_send, costs.c_wait)
+    # both processes send heartbeats at 0, delta, ... while alive
+    hb_end = min(max(trace.t_p, trace.t_q), trace.horizon)
+    ticks = np.union1d(times, np.arange(0, hb_end, trace.delta))
+    columns = kernels.avg_cost_at(ticks, times, c_done, trace.t_p, trace.t_q,
+                                  trace.delta, trace.horizon, costs.c_send)
+    points = np.rec.fromarrays((ticks, *columns),
+                               names="t,c_total,num_completed,num_hb,ratio")
+    sup = max(0.0, float(points.ratio.max())) if len(points) else 0.0
     return points, sup
-
-
-def final_ratio(trace: RepeatedTrace, costs: CostParams) -> float:
-    """Value of the average-cost ratio at the horizon."""
-    points, _sup = avg_cost_series(trace, costs)
-    if not points:
-        return 0.0
-    return points[-1].ratio
 
 
 def series_to_csv(points, fh) -> None:
     """CSV emission, '.' decimal, stable column order."""
     fh.write("t,c_total,num_completed,num_hb,ratio\n")
-    for p in points:
-        fh.write(f"{p.t},{p.c_total!r},{p.num_completed},{p.num_hb},{p.ratio!r}\n")
-
-
-def series_to_csv_text(points) -> str:
-    buf = io.StringIO()
-    series_to_csv(points, buf)
-    return buf.getvalue()
+    # python numbers, column by column: repr of a numpy float is not a
+    # plain number
+    rows = zip(*(points[name].tolist() for name in points.dtype.names))
+    fh.writelines(f"{t},{c!r},{k},{h},{r!r}\n" for t, c, k, h, r in rows)

@@ -520,37 +520,20 @@ def _repeated_reduce(inv_nsend, inv_wait, inv_complete,
     """Average-cost summary of one repeated run.
 
     Returns (n_complete, cost_completed, hb_total, ratio_at_horizon,
-    running_sup).  The running sup is evaluated at every integer time where
-    the ratio can attain its maximum: just before and at each completion
-    event, and at the horizon.
+    running_sup).  Between completions only heartbeats move the ratio, and
+    they raise it, so the running sup is evaluated just before and at each
+    completion tick, and at the end of the run.
     """
-    def hb(t):
-        return _hb_upto(t, t_p, delta, horizon) + _hb_upto(t, t_q, delta, horizon)
-
-    done = inv_complete >= 0
-    times = inv_complete[done]
-    cost = inv_nsend[done] * c_send + inv_wait[done] * c_wait
-    order = np.argsort(times)
-    times = times[order]
-    c_run = np.cumsum(cost[order])  # sequential: completion-time order
+    times, c_done = completed_cost(inv_nsend, inv_wait, inv_complete,
+                                   c_send, c_wait)
     m = times.size
-    c_done = float(c_run[-1]) if m else 0.0
-    hb_total = int(hb(horizon))
-    ratio_h = (c_done + hb_total * c_send) / (m + 1)
-    sup = 0.0
-    if m:
-        # one group per completion tick: last index of each, then the first
-        last = np.flatnonzero(np.append(times[1:] != times[:-1], True))
-        first = np.append(0, last[:-1] + 1)
-        big_t = times[last]
-        c_before = np.append(0.0, c_run[last[:-1]])
-        top = max(((c_before + hb(big_t - 1) * c_send) / (first + 1)).max(),
-                  ((c_run[last] + hb(big_t) * c_send) / (last + 2)).max())
-        if top > sup:
-            sup = float(top)
-    if ratio_h > sup:
-        sup = ratio_h
-    return m, c_done, hb_total, ratio_h, sup
+    # the end of the run counts every completion, even one past the horizon
+    end = max(horizon, int(times[-1])) if m else horizon
+    ticks = np.concatenate((times - 1, times, [end]))
+    _, _, n_hb, ratio = avg_cost_at(ticks, times, c_done, t_p, t_q, delta,
+                                    horizon, c_send)
+    sup = max(0.0, float(ratio.max()))
+    return m, float(c_done[-1]), int(n_hb[-1]), float(ratio[-1]), sup
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +645,36 @@ def repeated_run_arrays(params, horizon, seed):
     arrays, hb_p, hb_q, tp, tq = _repeated_one(params, horizon, seed)
     big = horizon + 1
     return arrays["start"].size, arrays, hb_p, hb_q, min(tp, big), min(tq, big)
+
+
+def completed_cost(inv_nsend, inv_wait, inv_complete, c_send, c_wait):
+    """Completion ticks of the certified invocations in increasing order, and
+    ``c_done`` where ``c_done[k]`` is the c0 of the first k of them.
+
+    Invocations completing on the same tick are taken in ``np.argsort``
+    order, and the sum runs sequentially in that order, so every caller
+    adds fractional costs identically.
+    """
+    done = inv_complete >= 0
+    times = inv_complete[done]
+    order = np.argsort(times)
+    cost = inv_nsend[done] * c_send + inv_wait[done] * c_wait
+    return times[order], np.append(0.0, np.cumsum(cost[order]))
+
+
+def avg_cost_at(ticks, times, c_done, t_p, t_q, delta, horizon, c_send):
+    """The repeated-mode average cost per invocation at each of ``ticks``.
+
+    ``times`` and ``c_done`` come from ``completed_cost``.  At tick t,
+    c_total is the c0 of the invocations completed by t plus the cost of
+    every heartbeat sent by t, and the ratio divides it by (completions + 1)
+    so the denominator is never zero.  Returns the arrays (c_total,
+    num_completed, num_hb, ratio).
+    """
+    k = np.searchsorted(times, ticks, side="right")
+    n_hb = _hb_upto(ticks, t_p, delta, horizon) + _hb_upto(ticks, t_q, delta, horizon)
+    c_total = c_done[k] + n_hb * c_send
+    return c_total, k, n_hb, c_total / (k + 1)
 
 
 def hb_sends_upto(t, t_x, delta, horizon):

@@ -1,9 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from relcost import engine, kernels
 from relcost.cli import main
+from relcost.model import CostParams, SystemParams
 
 SYSTEM_DET = {"alpha_p": 1.0, "alpha_q": 1.0, "beta_p": 0.5, "beta_q": 0.5,
               "gamma": 0.0, "tau": 4, "delta": 3, "sigma": 0.0}
@@ -58,6 +61,33 @@ def test_simulate_repeated_writes_series(tmp_path):
     summary = read_json(out / "summary.json")
     assert summary["n_invocations"] >= 1
     assert summary["final_ratio"] > 0
+
+
+def test_simulate_repeated_summary_equals_compare_with_tied_completions(tmp_path):
+    # fractional costs, so the order in which completions sharing a tick are
+    # added shows in the last bits
+    system = {"alpha_p": 0.0, "alpha_q": 0.0, "beta_p": 0.002, "beta_q": 0.002,
+              "gamma": 0.2, "tau": 2, "delta": 2, "sigma": 0.1}
+    costs = {"c_send": 0.1, "c_wait": 0.7}
+    cfg = write_config(tmp_path, "c.json", {
+        "protocol": {"kind": "srhb"}, "system": system, "costs": costs,
+        "mode": "repeated", "horizon": 400, "seed": 0,
+    })
+    params = SystemParams(**system)
+    ties = 0
+    for seed in range(13):
+        out = tmp_path / f"out{seed}"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--seed-override", str(seed)]) == 0
+        summary = read_json(out / "summary.json")
+        row = kernels.repeated_batch(params, CostParams(**costs), 400,
+                                     np.array([seed], np.uint64))
+        assert summary["final_ratio"] == float(row["ratio"][0]), seed
+        assert summary["running_sup"] == float(row["sup"][0]), seed
+        done = [r.complete_t for r in engine.run_repeated(params, seed, 400).invocations
+                if r.complete_t >= 0]
+        ties += len(done) - len(set(done))
+    assert ties > 0
 
 
 def test_malformed_json_exits_nonzero(tmp_path):
@@ -218,7 +248,8 @@ BAD_FIELDS = [
     ("metrics", "t_wait"), ("lambda", "0.5"), ("lambda", 1.0),
     ("tolerance", "0.05"), ("tolerance", -0.1), ("horizons", [64, "128"]),
     ("horizons", []), ("t_grid", [3, 3]), ("delta_range", {"min": 5, "max": 2}),
-    ("delta_range", [0, 1]), ("protocols", []),
+    ("delta_range", [0, 1]), ("protocols", []), ("horizons", [128, 64]),
+    ("t_grid", [1, 300]), ("metrics", ["c_avg"]),
 ]
 
 

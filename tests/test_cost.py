@@ -1,9 +1,12 @@
+import io
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from relcost import analysis, cost, engine
+import series_reference as ref
+from relcost import analysis, cost, engine, kernels
 from relcost.engine import InvocationRecord, RepeatedTrace, RunTrace
 from relcost.model import CostParams, ProtocolSpec, SystemParams
 
@@ -146,7 +149,7 @@ def test_series_hb_count_matches_engine_counters():
     for seed in range(20):
         tr = engine.run_repeated(p, seed, 512)
         points, _ = cost.avg_cost_series(tr, CostParams(1.0, 1.0))
-        if points:
+        if len(points):
             assert points[-1].num_hb == tr.hb_count_p + tr.hb_count_q
 
 
@@ -161,10 +164,50 @@ def test_series_csv_roundtrip():
                            finish=3, complete_t=5)
     tr = synthetic_repeated([inv], horizon=10, delta=5)
     points, _ = cost.avg_cost_series(tr, CostParams(1.0, 1.0))
-    text = cost.series_to_csv_text(points)
+    buf = io.StringIO()
+    cost.series_to_csv(points, buf)
+    text = buf.getvalue()
     lines = text.strip().splitlines()
     assert lines[0] == "t,c_total,num_completed,num_hb,ratio"
     assert len(lines) == len(points) + 1
     first = lines[1].split(",")
     assert int(first[0]) == points[0].t
     assert float(first[4]) == points[0].ratio
+
+
+prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+rate = st.one_of(st.just(1.0), st.floats(1e-4, 1.0))
+integral = st.integers(0, 10).map(float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.tuples(prob, prob), beta=st.tuples(rate, rate),
+       gamma=st.floats(0.0, 0.9), tau=st.integers(1, 6), delta=st.integers(1, 6),
+       sigma=prob, horizon=st.integers(1, 300),
+       costs=st.tuples(st.one_of(integral, st.floats(0.0, 10.0)),
+                       st.one_of(integral, st.floats(0.0, 10.0))),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_series_matches_event_loop_reference(alpha, beta, gamma, tau, delta, sigma,
+                                             horizon, costs, seed):
+    p = SystemParams(alpha_p=alpha[0], alpha_q=alpha[1], beta_p=beta[0],
+                     beta_q=beta[1], gamma=gamma, tau=tau, delta=delta, sigma=sigma)
+    c = CostParams(*costs)
+    tr = engine.run_repeated(p, seed, horizon)
+    points, sup = cost.avg_cost_series(tr, c)
+    want, want_sup = ref.avg_cost_series(tr, c)
+    assert len(points) == len(want)
+    for name, i in (("t", 0), ("num_completed", 2), ("num_hb", 3)):
+        assert points[name].tolist() == [w[i] for w in want], name
+    if all(v.is_integer() for v in costs):
+        # every partial sum is exact, so the order of the sums cannot show
+        assert points.c_total.tolist() == [w[1] for w in want]
+        assert points.ratio.tolist() == [w[4] for w in want]
+        assert np.float64(sup).tobytes() == np.float64(want_sup).tobytes()
+    else:
+        assert points.ratio.tolist() == pytest.approx([w[4] for w in want], rel=1e-12)
+        assert sup == pytest.approx(want_sup, rel=1e-12)
+    # the series ends where compare's reduction does, for any costs
+    row = kernels.repeated_batch(p, c, horizon, np.array([seed], np.uint64))
+    final = points.ratio[-1] if len(points) else 0.0
+    assert np.float64(final).tobytes() == row["ratio"][0].tobytes()
+    assert np.float64(sup).tobytes() == row["sup"][0].tobytes()
