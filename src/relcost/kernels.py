@@ -60,6 +60,16 @@ else:
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
+_UNIT = 1.1102230246251565e-16  # 2**-53: 53 high bits to a float in [0, 1)
+
+# the same constants as numpy scalars, for the array code
+_ONE = np.uint64(1)
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MIX_STEPS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+              (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_MIX_LAST = np.uint64(31)
+_UNIT_SHIFT = np.uint64(11)
+
 
 # protocol codes, kept in sync with model.PROTOCOL_NAMES
 _TRIVIAL = 0
@@ -80,20 +90,46 @@ def _mix(z):
     return z ^ (z >> 31)
 
 
+def _mix_array(z, tmp):
+    """The splitmix64 finalizer over a uint64 array, in place; ``tmp`` is
+    scratch of the same shape."""
+    for shift, mult in _MIX_STEPS:
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, _MIX_LAST, out=tmp)
+    z ^= tmp
+    return z
+
+
+def _units(z):
+    """Unit floats of the draws at stream positions ``z`` (uint64, each
+    seed + count*GOLDEN); overwrites z."""
+    tmp = np.empty_like(z)
+    _mix_array(z, tmp)
+    z >>= _UNIT_SHIFT
+    u = tmp.view(np.float64)
+    np.copyto(u, z, casting="unsafe")
+    u *= _UNIT
+    return u
+
+
 def derive_run_seed(master: int, index: int) -> int:
     """Per-run substream seed: draw index+1 of the splitmix64 stream at
     ``master``, unscaled.
 
-    Pure python on purpose: exact, warning-free, and usable to derive seeds
-    for any backend mode.
+    Pure python on purpose: the exact scalar definition that ``make_seeds``
+    computes in bulk.
     """
     return _mix((int(master) + (int(index) + 1) * _GOLDEN) & _MASK)
 
 
 def make_seeds(master: int, start: int, count: int) -> np.ndarray:
     """uint64 seed array for runs [start, start+count) of a master seed."""
-    return np.array([derive_run_seed(master, start + i) for i in range(count)],
-                    dtype=np.uint64)
+    z = np.arange(count, dtype=np.uint64)
+    z *= _GOLDEN_U64
+    z += np.uint64((int(master) + (int(start) + 1) * _GOLDEN) & _MASK)
+    return _mix_array(z, np.empty_like(z))
 
 
 def seed_state(seed: int) -> np.uint64:
@@ -357,20 +393,9 @@ _BLOCK = 1 << 12
 def _unit_draws(state, first, n):
     """Unit floats of draws first+1 ... first+n of the stream at ``state``."""
     z = np.arange(first + 1, first + n + 1, dtype=np.uint64)
-    tmp = np.empty_like(z)
-    z *= np.uint64(_GOLDEN)
+    z *= _GOLDEN_U64
     z += np.uint64(state)
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        np.right_shift(z, np.uint64(shift), out=tmp)
-        z ^= tmp
-        z *= np.uint64(mult)
-    np.right_shift(z, np.uint64(31), out=tmp)
-    z ^= tmp
-    z >>= np.uint64(11)
-    u = tmp.view(np.float64)
-    np.copyto(u, z, casting="unsafe")
-    u *= 1.1102230246251565e-16
-    return u
+    return _units(z)
 
 
 def _blocks(n):

@@ -18,6 +18,15 @@ def test_derive_run_seed_is_deterministic_and_spread():
     assert all(0 <= s < 2 ** 64 for s in seeds)
 
 
+def test_make_seeds_equals_the_scalar_derivation():
+    for master in (0, 5, 2 ** 64 - 1):
+        for start, count in ((0, 70), (3, 5), (2 ** 40 + 11, 9), (7, 0)):
+            seeds = kernels.make_seeds(master, start, count)
+            assert seeds.dtype == np.uint64
+            assert seeds.tolist() == [kernels.derive_run_seed(master, start + i)
+                                      for i in range(count)]
+
+
 def test_unit_draws_in_range():
     state = kernels.seed_state(7)
     for _ in range(1000):
