@@ -384,6 +384,203 @@ def _single_batch(proto, alpha_p, alpha_q, beta_p, beta_q, gamma, tau, delta,
 
 
 # ---------------------------------------------------------------------------
+# single mode: one numpy tick loop over the live runs of a batch
+
+def _draw(seed, k, idx):
+    """Unit floats of the next draw of runs ``idx``; advances their counters."""
+    z = k[idx] + _ONE
+    k[idx] = z
+    z *= _GOLDEN_U64
+    z += seed[idx]
+    return _units(z)
+
+
+def _crash_ticks(seed, k, force, alpha, beta, horizon):
+    """Crash ticks of a batch, horizon+1 meaning none within the window.
+
+    A forced tick (>= 0) takes no draws.  Otherwise each run draws at its
+    counter: one coin against alpha, then for a faulty process a second
+    draw for the geometric lifetime, floored exactly as the engine floors
+    it (``math.log1p``: numpy's log1p differs in the last bit for some
+    inputs).
+    """
+    big = horizon + 1
+    if force >= 0:
+        return np.full(seed.size, min(force, big), np.int64)
+    t = np.full(seed.size, big, np.int64)
+    faulty = np.flatnonzero(~(_draw(seed, k, slice(None)) < alpha))
+    if beta >= 1.0:
+        t[faulty] = 0
+    elif faulty.size:
+        logs = [math.log1p(-u) for u in _draw(seed, k, faulty).tolist()]
+        ticks = np.floor(np.array(logs) / math.log1p(-beta))
+        t[faulty] = np.minimum(ticks, big)
+    return t
+
+
+def _multiples(a, b, d):
+    # how many multiples of d lie in [a, b), for b >= a
+    return (b + d - 1) // d - (a + d - 1) // d
+
+
+class _Runs:
+    """The live runs of a single-mode batch, one array element per run.
+
+    ``cols`` names every per-run array; the ring buffers (``rings``, one row
+    per tick modulo tau+1) keep the run on their last axis.  A run that goes
+    quiescent has its results written to ``out`` and leaves every column.
+    Subclasses are the five protocols: ``tick(t)`` plays tick t for every
+    live run and returns the runs that end there.
+    """
+
+    rings = ()      # int32 message counts in flight, by arrival tick
+    counters = ()   # int64 per-run counts, starting at 0
+    flags = ()      # bool per-run flags, starting False
+
+    def __init__(self, seed, k, t_p, t_q, horizon, gamma, tau, delta, flu,
+                 ack_base):
+        n = seed.size
+        self.horizon, self.gamma, self.tau, self.delta = horizon, gamma, tau, delta
+        self.flu = flu  # every send before this tick is lost
+        self.ring_len = tau + 1
+        self.id = np.arange(n)
+        self.seed, self.k, self.t_p, self.t_q = seed, k, t_p, t_q
+        self.t_f = np.full(n, horizon + 1, np.int64)
+        self.n_send = np.zeros(n, np.int64)
+        self.n_hb = np.zeros(n, np.int64)
+        self.cols = ["id", "seed", "k", "t_p", "t_q", "t_f", "n_send", "n_hb"]
+        for name in self.rings:
+            self._add(name, np.zeros((self.ring_len, n), np.int32))
+        for name in self.counters:
+            self._add(name, np.zeros(n, np.int64))
+        for name in self.flags:
+            self._add(name, np.zeros(n, bool))
+        self.out = {"t_f": self.t_f.copy(), "n_send": self.n_send.copy(),
+                    "n_hb": self.n_hb.copy(),
+                    "quiesce_t": np.full(n, -1, np.int64)}
+
+    def _add(self, name, arr):
+        setattr(self, name, arr)
+        self.cols.append(name)
+
+    def run(self):
+        for t in range(self.horizon):
+            if not self.id.size:
+                break
+            ended, quiesce_t = self.tick(t)
+            if ended.any():
+                self._end(ended, quiesce_t)
+        self._end(np.ones(self.id.size, bool), -1)
+        return self.out
+
+    def _end(self, ended, quiesce_t):
+        # record the ended runs and drop them from every column
+        ids = self.id[ended]
+        for name in ("t_f", "n_send", "n_hb"):
+            self.out[name][ids] = getattr(self, name)[ended]
+        self.out["quiesce_t"][ids] = (quiesce_t[ended] if np.ndim(quiesce_t)
+                                      else quiesce_t)
+        keep = np.flatnonzero(~ended)
+        for name in self.cols:
+            setattr(self, name, getattr(self, name).take(keep, axis=-1))
+
+    def arrivals(self, t, *names):
+        """Rows of the named rings arriving at tick t.  Each row is read
+        here and zeroed, so its slot is free for the sends of tick t."""
+        row = t % self.ring_len
+        rows = []
+        for name in names:
+            ring = getattr(self, name)
+            rows.append(ring[row].copy())
+            ring[row] = 0
+        return rows
+
+    def send(self, idx, t, ring, inflight=None, count=None):
+        """Runs ``idx`` send once each at tick t.  Each send draws one loss
+        coin; a delivered one lands in ``ring`` tau ticks later and counts
+        in ``inflight``.  ``count`` (default ``n_send``) counts the sends."""
+        if not idx.size:
+            return
+        (self.n_send if count is None else count)[idx] += 1
+        if t < self.flu:
+            self.k[idx] += _ONE
+            return
+        ok = idx[~(_draw(self.seed, self.k, idx) < self.gamma)]
+        ring[(t + self.tau) % self.ring_len, ok] += 1
+        if inflight is not None:
+            inflight[ok] += 1
+
+    def heartbeats(self, alive):
+        # one heartbeat from each live process; its coin is drawn but unread
+        self.k += alive
+        self.n_hb += alive
+
+    def finish(self, idx, t):
+        # the payload reaches the receiver of runs idx at tick t
+        first = idx[self.t_f[idx] > t]
+        self.t_f[first] = t
+
+    def ending(self, t, quiet, tail, crash, every):
+        """The runs that end at tick t: the ``quiet`` ones, and those in a
+        dead-peer ``tail``.  In a tail, only one process still acts, its
+        sends are fixed, and it ends at its ``crash`` tick: a protocol send
+        at every ``every``-th tick and a heartbeat at every delta-th tick
+        before it (and before the horizon) are added in closed form.  The
+        run's stream is not advanced, since nothing reads it again.
+
+        Returns (ended mask, quiesce_t per run or one tick)."""
+        if not tail.any():
+            return quiet, t
+        quiesce_t = np.full(tail.size, t, np.int64)
+        until = crash[tail]
+        end = np.minimum(until, self.horizon)
+        self.n_send[tail] += _multiples(t + 1, end, every)
+        self.n_hb[tail] += _multiples(t + 1, end, self.delta)
+        quiesce_t[tail] = np.where(until < self.horizon, until, -1)
+        return quiet | tail, quiesce_t
+
+
+class _Trivial(_Runs):
+    # both processes heartbeat once at tick 0, and the run ends there
+    def tick(self, t):
+        self.heartbeats(t < self.t_p)
+        self.heartbeats(t < self.t_q)
+        return np.ones(self.id.size, bool), t
+
+
+class _Sender(_Runs):
+    # p retransmits every delta ticks until an ack arrives; q acks each copy
+    rings = ("msg", "ack")
+    counters = ("in_msg", "in_ack")
+    flags = ("ack_seen",)
+
+    def tick(self, t):
+        p_up, q_up = t < self.t_p, t < self.t_q
+        d_msg, d_ack = self.arrivals(t, "msg", "ack")
+        self.in_msg -= d_msg
+        self.in_ack -= d_ack
+        self.ack_seen |= p_up & (d_ack > 0)
+        beat = t % self.delta == 0
+        if beat:
+            self.send(np.flatnonzero(p_up & ~self.ack_seen), t, self.msg, self.in_msg)
+            self.heartbeats(p_up)
+        got = np.flatnonzero(q_up & (d_msg > 0))
+        if got.size:
+            self.finish(got, t)
+            self.send(got, t, self.ack, self.in_ack)
+        if beat:
+            self.heartbeats(q_up)
+        quiet = (self.ack_seen | ~p_up) & ((self.in_msg == 0) | ~q_up)
+        # q is dead for good and no ack can reach p: p sends until it crashes
+        tail = ((self.t_q <= t + 1) & (self.t_p > t + 1) & ~self.ack_seen
+                & (self.in_ack == 0))
+        return self.ending(t, quiet, tail, self.t_p, self.delta)
+
+
+_PROTOCOLS = {_TRIVIAL: _Trivial, _SENDER: _Sender}
+
+
+# ---------------------------------------------------------------------------
 # repeated mode: numpy over counter-based draws
 
 # the most draws one numpy pass computes; bounds a run's scratch memory
@@ -590,6 +787,21 @@ def single_batch(proto_code, params, horizon, seeds,
     the protocol could still send.
     """
     horizon = _checked_horizon(horizon)
+    if proto_code in _PROTOCOLS:
+        seed = np.asarray(seeds, np.uint64)
+        k = np.zeros(seed.size, np.uint64)  # draws taken, per run
+        t_p = _crash_ticks(seed, k, int(force_tp), params.alpha_p, params.beta_p, horizon)
+        t_q = _crash_ticks(seed, k, int(force_tq), params.alpha_q, params.beta_q, horizon)
+        out = _PROTOCOLS[proto_code](
+            seed, k, t_p, t_q, horizon, params.gamma, int(params.tau),
+            int(params.delta), int(force_loss_until), float(ack_base)).run()
+        return {
+            "t_p": t_p, "t_q": t_q, "t_f": out["t_f"],
+            "n_send": out["n_send"], "n_hb": out["n_hb"],
+            "active": (out["quiesce_t"] < 0).astype(np.int64),
+            "quiesce_t": out["quiesce_t"],
+        }
+
     n = seeds.shape[0]
     out_tp = np.empty(n, np.int64)
     out_tq = np.empty(n, np.int64)

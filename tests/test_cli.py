@@ -147,6 +147,22 @@ def test_compare_three_protocol_table_all_pass(tmp_path):
     assert "FAIL" not in (out / "table.txt").read_text()
 
 
+def test_compare_with_a_huge_horizon_runs_in_bounded_memory(tmp_path):
+    # every trivial run ends at tick 0; nothing may be sized by the horizon
+    system = {"alpha_p": 0.0, "alpha_q": 0.0, "beta_p": 1e-3, "beta_q": 1e-3,
+              "gamma": 1e-3, "tau": 5, "delta": 3, "sigma": 0.0}
+    cfg = write_config(tmp_path, "c.json", {
+        "protocols": [{"kind": "trivial"}], "system": system, "costs": COSTS,
+        "metrics": ["t_wait"], "n_runs": 4, "horizon": 10 ** 12,
+        "seed": 1, "tolerance": 1.0,
+    })
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    [report] = read_json(out / "summary.json")["reports"]
+    assert (report["n_runs"], report["n_censored"]) == (4, 0)
+    assert "PASS" in (out / "table.txt").read_text()
+
+
 def test_compare_out_of_regime_reports_no_prediction(tmp_path):
     system = {"alpha_p": 0.0, "alpha_q": 0.0, "beta_p": 0.3, "beta_q": 0.3,
               "gamma": 0.0, "tau": 2, "delta": 2, "sigma": 0.0}
