@@ -577,7 +577,36 @@ class _Sender(_Runs):
         return self.ending(t, quiet, tail, self.t_p, self.delta)
 
 
-_PROTOCOLS = {_TRIVIAL: _Trivial, _SENDER: _Sender}
+class _Receiver(_Runs):
+    # q requests every delta ticks until the payload arrives; p answers each
+    rings = ("msg", "req")
+    counters = ("in_msg", "in_req")
+
+    def tick(self, t):
+        p_up, q_up = t < self.t_p, t < self.t_q
+        d_msg, d_req = self.arrivals(t, "msg", "req")
+        self.in_msg -= d_msg
+        self.in_req -= d_req
+        self.send(np.flatnonzero(p_up & (d_req > 0)), t, self.msg, self.in_msg)
+        beat = t % self.delta == 0
+        if beat:
+            self.heartbeats(p_up)
+        got = np.flatnonzero(q_up & (d_msg > 0))
+        if got.size:
+            self.finish(got, t)
+        waiting = self.t_f > t
+        if beat:
+            self.send(np.flatnonzero(q_up & waiting), t, self.req, self.in_req)
+            self.heartbeats(q_up)
+        quiet = (~waiting | ~q_up) & ((self.in_req == 0) | ~p_up)
+        # p is dead for good and no payload is on its way: q asks until it
+        # crashes
+        tail = ((self.t_p <= t + 1) & (self.t_q > t + 1) & waiting
+                & (self.in_msg == 0))
+        return self.ending(t, quiet, tail, self.t_q, self.delta)
+
+
+_PROTOCOLS = {_TRIVIAL: _Trivial, _SENDER: _Sender, _RECEIVER: _Receiver}
 
 
 # ---------------------------------------------------------------------------
