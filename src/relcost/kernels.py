@@ -606,7 +606,36 @@ class _Receiver(_Runs):
         return self.ending(t, quiet, tail, self.t_q, self.delta)
 
 
-_PROTOCOLS = {_TRIVIAL: _Trivial, _SENDER: _Sender, _RECEIVER: _Receiver}
+class _Srhb(_Runs):
+    # p sends a copy on each heartbeat from q until an ack arrives
+    rings = ("msg", "ack", "hbp")
+    counters = ("in_msg", "in_hbp")
+    flags = ("ack_seen",)
+
+    def tick(self, t):
+        p_up, q_up = t < self.t_p, t < self.t_q
+        d_msg, d_ack, d_hbp = self.arrivals(t, "msg", "ack", "hbp")
+        self.in_msg -= d_msg
+        self.in_hbp -= d_hbp
+        self.ack_seen |= p_up & (d_ack > 0)
+        self.send(np.flatnonzero(p_up & ~self.ack_seen & (d_hbp > 0)), t,
+                  self.msg, self.in_msg)
+        beat = t % self.delta == 0
+        if beat:
+            self.heartbeats(p_up)
+        got = np.flatnonzero(q_up & (d_msg > 0))
+        if got.size:
+            self.finish(got, t)
+            self.send(got, t, self.ack)
+        if beat:
+            # q's heartbeats reach p and drive it, so their coins are read
+            self.send(np.flatnonzero(q_up), t, self.hbp, self.in_hbp, self.n_hb)
+        p_can = p_up & ~self.ack_seen & (q_up | (self.in_hbp > 0))
+        return ~p_can & ((self.in_msg == 0) | ~q_up), t
+
+
+_PROTOCOLS = {_TRIVIAL: _Trivial, _SENDER: _Sender, _RECEIVER: _Receiver,
+              _SRHB: _Srhb}
 
 
 # ---------------------------------------------------------------------------
