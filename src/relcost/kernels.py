@@ -1,28 +1,31 @@
 """Hot simulation kernels: the single-mode tick loop and the repeated-mode run.
 
 All randomness of a run flows through one explicit splitmix64 stream (no
-numpy/numba RNG state involved).  The stream is a counter generator: after
-state S, draw k is mix(S + k*GOLDEN) (Steele, Lea & Flood, "Fast splittable
-pseudorandom number generators", OOPSLA 2014).  Any stretch of draws whose
-count is known in advance can therefore be computed at once, without
-stepping through the draws before it.
+numpy RNG state involved).  The stream is a counter generator: after state S,
+draw k is mix(S + k*GOLDEN) (Steele, Lea & Flood, "Fast splittable
+pseudorandom number generators", OOPSLA 2014).  A run's stream is therefore
+fully described by its seed and a counter of the draws taken so far, and any
+stretch of draws whose count is known in advance can be computed at once,
+without stepping through the draws before it.
 
-Single mode is written so the exact same source runs in two modes:
+Both modes are numpy code; there is one lane per mode, and ``tests/`` keeps
+the earlier scalar kernels as the references they are checked against.
 
-* compiled with numba ``@njit`` (the default when numba is importable), or
-* as plain Python over numpy uint64 scalars, selected by setting the
-  environment variable ``RELCOST_NO_NUMBA=1`` before import.
+Single mode runs every run of a batch in one numpy loop over ticks.  Its
+arrays hold the state of each live run, one element per run: the seed, the
+draw counter, the crash ticks, the counts, and ring buffers of length tau+1
+for the messages in flight.  On each tick, only the runs that draw compute a
+coin, at their own counter, so every run sees the draws of its own stream in
+the documented order however the batch around it behaves.  Runs leave the
+arrays as they go quiescent.  Fast-forward ends the long dead-peer tails:
+once the peer is dead and nothing is in flight that could change the live
+process's course, its remaining sends are fixed, so they are counted in
+closed form and the run ends at the tick it would have gone quiescent.
 
-Both give bit-identical results because all floating point work uses the
-same float64 operations.
-
-Repeated mode is numpy only, with or without numba.  Its heartbeat and
-invocation coins are computed through the counter identity, in numpy passes
-of at most ``_BLOCK`` draws.  The per-invocation walks, whose draw counts
-depend on earlier draws, step the stream on python ints and jump from one
-inbound heartbeat to the next.  The draw order below is unchanged from the
-earlier tick-by-tick kernel, so seeded results are too; ``tests/`` keeps
-that kernel as the reference it is checked against.
+Repeated mode computes its heartbeat and invocation coins through the
+counter identity, in numpy passes of at most ``_BLOCK`` draws.  The
+per-invocation walks, whose draw counts depend on earlier draws, step the
+stream on python ints and jump from one inbound heartbeat to the next.
 
 Random draw discipline (fixed; the pure-Python reference engine follows it):
 
@@ -70,7 +73,6 @@ _MIX_STEPS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
 _MIX_LAST = np.uint64(31)
 _UNIT_SHIFT = np.uint64(11)
 
-
 # protocol codes, kept in sync with model.PROTOCOL_NAMES
 _TRIVIAL = 0
 _SENDER = 1
@@ -88,6 +90,12 @@ def _mix(z):
     z ^= z >> 27
     z = (z * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def _step(state):
+    # one draw on python ints; returns (new_state, unit float in [0, 1))
+    state = (state + _GOLDEN) & _MASK
+    return state, (_mix(state) >> 11) * _UNIT
 
 
 def _mix_array(z, tmp):
@@ -134,253 +142,6 @@ def make_seeds(master: int, start: int, count: int) -> np.ndarray:
 
 def seed_state(seed: int) -> np.uint64:
     return np.uint64(int(seed) & _MASK)
-
-
-@jitted
-def _next_unit(state):
-    # splitmix64 step + finalizer; returns (new_state, unit float in [0, 1))
-    s = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = s
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    z ^= z >> 31
-    return s, (z >> 11) * 1.1102230246251565e-16
-
-
-@jitted
-def _sample_lifetime(state, alpha, beta):
-    # -1 encodes "never crashes"; otherwise geometric on {0, 1, ...} with
-    # per-tick rate beta (crash at tick 0 is possible).
-    state, u = _next_unit(state)
-    if u < alpha:
-        return state, -1
-    if beta >= 1.0:
-        return state, 0
-    state, u2 = _next_unit(state)
-    t = int(math.floor(math.log1p(-u2) / math.log1p(-beta)))
-    return state, t
-
-
-@jitted
-def _single_run(proto, gamma, tau, delta, ack_base, horizon, state,
-                t_p, t_q, force_loss_until,
-                msg_cal, ack_cal, req_cal, hbp_cal, fire_cal):
-    """One seeded single-invocation run; returns summary metrics.
-
-    t_p/t_q are crash ticks already capped to horizon+1 ("never within
-    window").  Calendars are caller-owned scratch, zero on entry; the run
-    re-zeroes exactly the slots it wrote before returning.
-
-    Returns (t_f, n_send, n_hb, quiesce_t, active) where t_f is horizon+1
-    when the receiver never finishes in-window, quiesce_t is -1 when the run
-    is still active at the horizon, and n_send excludes heartbeats.
-    """
-    big = horizon + 1
-    ack_seen = False
-    finished = False
-    t_f = big
-    n_send = 0
-    n_hb = 0
-    inflight_msg = 0
-    inflight_req = 0
-    inflight_hb_p = 0
-    pending_fire = 0
-    far_pending = 0
-    k_rx = 0
-    quiesce_t = -1
-    used_end = -1
-    log_ab = 0.0
-    log_window = 0.0
-    if proto == _PATHOLOGICAL:
-        log_ab = math.log(ack_base)
-        log_window = math.log(float(horizon + 1))
-
-    for t in range(horizon):
-        d_msg = msg_cal[t]
-        d_ack = ack_cal[t]
-        d_req = req_cal[t]
-        d_hbp = hbp_cal[t]
-        inflight_msg -= d_msg
-        inflight_req -= d_req
-        inflight_hb_p -= d_hbp
-
-        # --- process p acts (sender side except in the receiver-driven case)
-        if t < t_p:
-            if d_ack > 0 and (proto == _SENDER or proto == _SRHB or proto == _PATHOLOGICAL):
-                ack_seen = True
-            if proto == _SENDER:
-                if not ack_seen and t % delta == 0:
-                    state, u = _next_unit(state)
-                    n_send += 1
-                    if not (t < force_loss_until or u < gamma):
-                        msg_cal[t + tau] += 1
-                        inflight_msg += 1
-                        if t + tau > used_end:
-                            used_end = t + tau
-            elif proto == _PATHOLOGICAL:
-                if not ack_seen:
-                    state, u = _next_unit(state)
-                    n_send += 1
-                    if not (t < force_loss_until or u < gamma):
-                        msg_cal[t + tau] += 1
-                        inflight_msg += 1
-                        if t + tau > used_end:
-                            used_end = t + tau
-            elif proto == _SRHB:
-                if not ack_seen and d_hbp > 0:
-                    for _ in range(d_hbp):
-                        state, u = _next_unit(state)
-                        n_send += 1
-                        if not (t < force_loss_until or u < gamma):
-                            msg_cal[t + tau] += 1
-                            inflight_msg += 1
-                            if t + tau > used_end:
-                                used_end = t + tau
-            elif proto == _RECEIVER:
-                if d_req > 0:
-                    for _ in range(d_req):
-                        state, u = _next_unit(state)
-                        n_send += 1
-                        if not (t < force_loss_until or u < gamma):
-                            msg_cal[t + tau] += 1
-                            inflight_msg += 1
-                            if t + tau > used_end:
-                                used_end = t + tau
-            # p's heartbeat layer (to q; no protocol listens to it in single mode)
-            if t % delta == 0:
-                state, u = _next_unit(state)
-                n_hb += 1
-
-        # --- process q acts
-        if t < t_q:
-            if proto == _SENDER or proto == _SRHB:
-                if d_msg > 0:
-                    if not finished:
-                        finished = True
-                        t_f = t
-                    for _ in range(d_msg):
-                        state, u = _next_unit(state)
-                        n_send += 1
-                        if not (t < force_loss_until or u < gamma):
-                            ack_cal[t + tau] += 1
-                            if t + tau > used_end:
-                                used_end = t + tau
-            elif proto == _RECEIVER:
-                if d_msg > 0 and not finished:
-                    finished = True
-                    t_f = t
-                if not finished and t % delta == 0:
-                    state, u = _next_unit(state)
-                    n_send += 1
-                    if not (t < force_loss_until or u < gamma):
-                        req_cal[t + tau] += 1
-                        inflight_req += 1
-                        if t + tau > used_end:
-                            used_end = t + tau
-            elif proto == _PATHOLOGICAL:
-                if d_msg > 0:
-                    if not finished:
-                        finished = True
-                        t_f = t
-                    for _ in range(d_msg):
-                        k_rx += 1
-                        if k_rx * log_ab > log_window:
-                            far_pending += 1
-                        else:
-                            ft = t + int(math.ceil(ack_base ** k_rx))
-                            if ft <= horizon - 1:
-                                fire_cal[ft] += 1
-                                pending_fire += 1
-                                if ft > used_end:
-                                    used_end = ft
-                            else:
-                                far_pending += 1
-                if fire_cal[t] > 0:
-                    for _ in range(fire_cal[t]):
-                        state, u = _next_unit(state)
-                        n_send += 1
-                        pending_fire -= 1
-                        if not (t < force_loss_until or u < gamma):
-                            ack_cal[t + tau] += 1
-                            if t + tau > used_end:
-                                used_end = t + tau
-            # q's heartbeat layer (to p; drives the srhb sender)
-            if t % delta == 0:
-                state, u = _next_unit(state)
-                n_hb += 1
-                if not (t < force_loss_until or u < gamma):
-                    hbp_cal[t + tau] += 1
-                    inflight_hb_p += 1
-                    if t + tau > used_end:
-                        used_end = t + tau
-
-        # --- quiescence: no further non-heartbeat send can ever happen
-        p_dead = t >= t_p
-        q_dead = t >= t_q
-        if proto == _TRIVIAL:
-            quiescent = True
-        elif proto == _SENDER:
-            quiescent = (ack_seen or p_dead) and (inflight_msg == 0 or q_dead)
-        elif proto == _RECEIVER:
-            quiescent = (finished or q_dead) and (inflight_req == 0 or p_dead)
-        elif proto == _SRHB:
-            p_can = (not p_dead) and (not ack_seen) and ((not q_dead) or inflight_hb_p > 0)
-            quiescent = (not p_can) and (inflight_msg == 0 or q_dead)
-        else:
-            quiescent = ((ack_seen or p_dead)
-                         and (inflight_msg == 0 or q_dead)
-                         and (pending_fire + far_pending == 0 or q_dead))
-        if quiescent:
-            quiesce_t = t
-            break
-
-    # scrub the scratch calendars for the next run
-    for i in range(used_end + 1):
-        msg_cal[i] = 0
-        ack_cal[i] = 0
-        req_cal[i] = 0
-        hbp_cal[i] = 0
-        fire_cal[i] = 0
-
-    active = 1 if quiesce_t < 0 else 0
-    return t_f, n_send, n_hb, quiesce_t, active
-
-
-@jitted
-def _single_batch(proto, alpha_p, alpha_q, beta_p, beta_q, gamma, tau, delta,
-                  ack_base, horizon, seeds, force_tp, force_tq, force_loss_until,
-                  out_tp, out_tq, out_tf, out_nsend, out_nhb, out_active, out_quiesce):
-    cal_len = horizon + tau + 2
-    msg_cal = np.zeros(cal_len, np.int32)
-    ack_cal = np.zeros(cal_len, np.int32)
-    req_cal = np.zeros(cal_len, np.int32)
-    hbp_cal = np.zeros(cal_len, np.int32)
-    fire_cal = np.zeros(cal_len, np.int32)
-    big = horizon + 1
-    for r in range(seeds.shape[0]):
-        state = seeds[r]
-        if force_tp >= 0:
-            tp = force_tp if force_tp < big else big
-        else:
-            state, raw = _sample_lifetime(state, alpha_p, beta_p)
-            tp = big if (raw < 0 or raw > horizon) else raw
-        if force_tq >= 0:
-            tq = force_tq if force_tq < big else big
-        else:
-            state, raw = _sample_lifetime(state, alpha_q, beta_q)
-            tq = big if (raw < 0 or raw > horizon) else raw
-        t_f, n_send, n_hb, quiesce_t, active = _single_run(
-            proto, gamma, tau, delta, ack_base, horizon, state, tp, tq,
-            force_loss_until, msg_cal, ack_cal, req_cal, hbp_cal, fire_cal)
-        out_tp[r] = tp
-        out_tq[r] = tq
-        out_tf[r] = t_f
-        out_nsend[r] = n_send
-        out_nhb[r] = n_hb
-        out_active[r] = active
-        out_quiesce[r] = quiesce_t
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +395,91 @@ class _Srhb(_Runs):
         return ~p_can & ((self.in_msg == 0) | ~q_up), t
 
 
+class _Pathological(_Runs):
+    """p sends every tick until an ack arrives; q acks its k-th received
+    copy ceil(ack_base**k) ticks after receiving it.
+
+    ``fires[k-1]`` holds the pending ack tick of copy k (``_NEVER`` once
+    fired, or when not scheduled) and ``next_fire`` the earliest of them.
+    Copies whose ack would fall at or past the horizon are only flagged
+    ``far``.  ``delays[k-1]`` is ceil(ack_base**k) for every k whose ack
+    can land in the window.
+    """
+
+    rings = ("msg", "ack")
+    counters = ("in_msg", "in_ack", "k_rx")
+    flags = ("ack_seen", "far")
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        ack_base = args[-1]
+        log_ab = math.log(ack_base)
+        log_window = math.log(float(self.horizon + 1))
+        delays = []
+        # at most one copy arrives per tick, so k stays below the horizon
+        while len(delays) < self.horizon and not (len(delays) + 1) * log_ab > log_window:
+            delays.append(math.ceil(ack_base ** (len(delays) + 1)))
+        self.delays = np.array(delays, np.int64)
+        self._add("next_fire", np.full(self.id.size, _NEVER, np.int64))
+        self._add("fires", np.full((min(len(delays), 16), self.id.size), _NEVER,
+                                   np.int64))
+
+    def schedule(self, idx, t):
+        # runs idx receive one more copy at tick t: schedule its ack
+        k = self.k_rx[idx] + 1
+        self.k_rx[idx] = k
+        fire = np.full(idx.size, _NEVER, np.int64)
+        near = k <= self.delays.size
+        fire[near] = t + self.delays[k[near] - 1]
+        due = fire <= self.horizon - 1
+        self.far[idx[~due]] = True
+        idx, k, fire = idx[due], k[due], fire[due]
+        if not idx.size:
+            return
+        rows = self.fires.shape[0]
+        if k.max() > rows:
+            grown = np.full((min(2 * k.max(), self.delays.size), self.id.size),
+                            _NEVER, np.int64)
+            grown[:rows] = self.fires
+            self.fires = grown
+        self.fires[k - 1, idx] = fire
+        self.next_fire[idx] = np.minimum(self.next_fire[idx], fire)
+
+    def tick(self, t):
+        p_up, q_up = t < self.t_p, t < self.t_q
+        d_msg, d_ack = self.arrivals(t, "msg", "ack")
+        self.in_msg -= d_msg
+        self.in_ack -= d_ack
+        self.ack_seen |= p_up & (d_ack > 0)
+        self.send(np.flatnonzero(p_up & ~self.ack_seen), t, self.msg, self.in_msg)
+        beat = t % self.delta == 0
+        if beat:
+            self.heartbeats(p_up)
+        got = np.flatnonzero(q_up & (d_msg > 0))
+        if got.size:
+            self.finish(got, t)
+            self.schedule(got, t)
+        # several acks can fall due on one tick: one coin each, in turn
+        due = np.flatnonzero(q_up & (self.next_fire == t))
+        while due.size:
+            self.send(due, t, self.ack, self.in_ack)
+            pending = self.fires[:, due]
+            self.fires[pending.argmin(axis=0), due] = _NEVER
+            self.next_fire[due] = self.fires[:, due].min(axis=0)
+            due = due[self.next_fire[due] == t]
+        if beat:
+            self.heartbeats(q_up)
+        q_done = (self.next_fire == _NEVER) & ~self.far
+        quiet = ((self.ack_seen | ~p_up) & ((self.in_msg == 0) | ~q_up)
+                 & (q_done | ~q_up))
+        # q is dead for good and no ack can reach p: p sends until it crashes
+        tail = ((self.t_q <= t + 1) & (self.t_p > t + 1) & ~self.ack_seen
+                & (self.in_ack == 0))
+        return self.ending(t, quiet, tail, self.t_p, 1)
+
+
 _PROTOCOLS = {_TRIVIAL: _Trivial, _SENDER: _Sender, _RECEIVER: _Receiver,
-              _SRHB: _Srhb}
+              _SRHB: _Srhb, _PATHOLOGICAL: _Pathological}
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +500,6 @@ def _unit_draws(state, first, n):
 def _blocks(n):
     # (offset, size) of the numpy passes over n draws
     return ((b, min(_BLOCK, n - b)) for b in range(0, n, _BLOCK))
-
-
-def _step(state):
-    # one draw on python ints; returns (new_state, unit float in [0, 1))
-    state = (state + _GOLDEN) & _MASK
-    return state, (_mix(state) >> 11) * 1.1102230246251565e-16
 
 
 def _hb_upto(t, t_x, delta, horizon):
@@ -820,20 +658,23 @@ def _repeated_reduce(inv_nsend, inv_wait, inv_complete,
 # python-side wrappers (the only entry points the rest of the package uses)
 
 def next_unit(state):
-    """Advance the shared splitmix64 stream; returns (state, float in [0,1)).
-
-    State is re-coerced to uint64 on entry: compiled callees box their uint64
-    returns as python ints, which must not be re-typed as int64 on the way
-    back in.
-    """
-    with np.errstate(over="ignore"):
-        return _next_unit(seed_state(state))
+    """Advance the shared splitmix64 stream; returns (state, float in [0,1))."""
+    return _step(int(state) & _MASK)
 
 
 def sample_lifetime(state, alpha, beta):
-    """Draw a crash tick (-1 = never) from the stream; returns (state, tick)."""
-    with np.errstate(over="ignore"):
-        return _sample_lifetime(seed_state(state), alpha, beta)
+    """Draw a crash tick from the stream; returns (state, tick).
+
+    -1 encodes "never crashes"; otherwise the tick is geometric on
+    {0, 1, ...} with per-tick rate beta (a crash at tick 0 is possible).
+    """
+    state, u = next_unit(state)
+    if u < alpha:
+        return state, -1
+    if beta >= 1.0:
+        return state, 0
+    state, u2 = _step(state)
+    return state, math.floor(math.log1p(-u2) / math.log1p(-beta))
 
 
 def single_batch(proto_code, params, horizon, seeds,
@@ -845,41 +686,18 @@ def single_batch(proto_code, params, horizon, seeds,
     the protocol could still send.
     """
     horizon = _checked_horizon(horizon)
-    if proto_code in _PROTOCOLS:
-        seed = np.asarray(seeds, np.uint64)
-        k = np.zeros(seed.size, np.uint64)  # draws taken, per run
-        t_p = _crash_ticks(seed, k, int(force_tp), params.alpha_p, params.beta_p, horizon)
-        t_q = _crash_ticks(seed, k, int(force_tq), params.alpha_q, params.beta_q, horizon)
-        out = _PROTOCOLS[proto_code](
-            seed, k, t_p, t_q, horizon, params.gamma, int(params.tau),
-            int(params.delta), int(force_loss_until), float(ack_base)).run()
-        return {
-            "t_p": t_p, "t_q": t_q, "t_f": out["t_f"],
-            "n_send": out["n_send"], "n_hb": out["n_hb"],
-            "active": (out["quiesce_t"] < 0).astype(np.int64),
-            "quiesce_t": out["quiesce_t"],
-        }
-
-    n = seeds.shape[0]
-    out_tp = np.empty(n, np.int64)
-    out_tq = np.empty(n, np.int64)
-    out_tf = np.empty(n, np.int64)
-    out_nsend = np.empty(n, np.int64)
-    out_nhb = np.empty(n, np.int64)
-    out_active = np.empty(n, np.int64)
-    out_quiesce = np.empty(n, np.int64)
-    with np.errstate(over="ignore"):
-        _single_batch(proto_code, params.alpha_p, params.alpha_q,
-                      params.beta_p, params.beta_q, params.gamma,
-                      int(params.tau), int(params.delta), float(ack_base),
-                      horizon, seeds,
-                      int(force_tp), int(force_tq), int(force_loss_until),
-                      out_tp, out_tq, out_tf, out_nsend, out_nhb,
-                      out_active, out_quiesce)
+    seed = np.asarray(seeds, np.uint64)
+    k = np.zeros(seed.size, np.uint64)  # draws taken, per run
+    t_p = _crash_ticks(seed, k, int(force_tp), params.alpha_p, params.beta_p, horizon)
+    t_q = _crash_ticks(seed, k, int(force_tq), params.alpha_q, params.beta_q, horizon)
+    out = _PROTOCOLS[proto_code](
+        seed, k, t_p, t_q, horizon, params.gamma, int(params.tau),
+        int(params.delta), int(force_loss_until), float(ack_base)).run()
     return {
-        "t_p": out_tp, "t_q": out_tq, "t_f": out_tf,
-        "n_send": out_nsend, "n_hb": out_nhb,
-        "active": out_active, "quiesce_t": out_quiesce,
+        "t_p": t_p, "t_q": t_q, "t_f": out["t_f"],
+        "n_send": out["n_send"], "n_hb": out["n_hb"],
+        "active": (out["quiesce_t"] < 0).astype(np.int64),
+        "quiesce_t": out["quiesce_t"],
     }
 
 
