@@ -42,24 +42,12 @@ action), then crashes, then the live processes act.
 """
 
 import math
-import os
 
 import numpy as np
 
-NUMBA_DISABLED = os.environ.get("RELCOST_NO_NUMBA", "0") == "1"
-
-try:
-    import numba as _numba
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-    _numba = None
-
-NUMBA_ENABLED = (_numba is not None) and not NUMBA_DISABLED
-
-if NUMBA_ENABLED:
-    jitted = _numba.njit(cache=True, nogil=True)
-else:
-    def jitted(f):
-        return f
+# There is no compiled backend.  The benchmark records name the backend from
+# this flag, so it stays, always False.
+NUMBA_ENABLED = False
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
