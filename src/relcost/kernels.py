@@ -191,6 +191,7 @@ class _Runs:
         n = seed.size
         self.horizon, self.gamma, self.tau, self.delta = horizon, gamma, tau, delta
         self.flu = flu  # every send before this tick is lost
+        self.ack_base = ack_base
         self.ring_len = tau + 1
         self.id = np.arange(n)
         self.seed, self.k, self.t_p, self.t_q = seed, k, t_p, t_q
@@ -400,13 +401,12 @@ class _Pathological(_Runs):
 
     def __init__(self, *args):
         super().__init__(*args)
-        ack_base = args[-1]
-        log_ab = math.log(ack_base)
+        log_ab = math.log(self.ack_base)
         log_window = math.log(float(self.horizon + 1))
         delays = []
         # at most one copy arrives per tick, so k stays below the horizon
         while len(delays) < self.horizon and not (len(delays) + 1) * log_ab > log_window:
-            delays.append(math.ceil(ack_base ** (len(delays) + 1)))
+            delays.append(math.ceil(self.ack_base ** (len(delays) + 1)))
         self.delays = np.array(delays, np.int64)
         self._add("next_fire", np.full(self.id.size, _NEVER, np.int64))
         self._add("fires", np.full((min(len(delays), 16), self.id.size), _NEVER,
