@@ -161,8 +161,11 @@ def _crash_ticks(seed, k, force, alpha, beta, horizon):
     if beta >= 1.0:
         t[faulty] = 0
     elif faulty.size:
-        logs = [math.log1p(-u) for u in _draw(seed, k, faulty).tolist()]
-        ticks = np.floor(np.array(logs) / math.log1p(-beta))
+        u = _draw(seed, k, faulty)
+        np.negative(u, out=u)
+        ticks = np.fromiter(map(math.log1p, u.tolist()), np.float64, u.size)
+        ticks /= math.log1p(-beta)
+        np.floor(ticks, out=ticks)
         t[faulty] = np.minimum(ticks, big)
     return t
 
@@ -182,7 +185,7 @@ class _Runs:
     live run and returns the runs that end there.
     """
 
-    rings = ()      # int32 message counts in flight, by arrival tick
+    rings = ()      # int16 message counts in flight, by arrival tick
     counters = ()   # int64 per-run counts, starting at 0
     flags = ()      # bool per-run flags, starting False
 
@@ -197,16 +200,14 @@ class _Runs:
         self.seed, self.k, self.t_p, self.t_q = seed, k, t_p, t_q
         self.t_f = np.full(n, horizon + 1, np.int64)
         self.n_send = np.zeros(n, np.int64)
-        self.n_hb = np.zeros(n, np.int64)
-        self.cols = ["id", "seed", "k", "t_p", "t_q", "t_f", "n_send", "n_hb"]
+        self.cols = ["id", "seed", "k", "t_p", "t_q", "t_f", "n_send"]
         for name in self.rings:
-            self._add(name, np.zeros((self.ring_len, n), np.int32))
+            self._add(name, np.zeros((self.ring_len, n), np.int16))
         for name in self.counters:
             self._add(name, np.zeros(n, np.int64))
         for name in self.flags:
             self._add(name, np.zeros(n, bool))
         self.out = {"t_f": self.t_f.copy(), "n_send": self.n_send.copy(),
-                    "n_hb": self.n_hb.copy(),
                     "quiesce_t": np.full(n, -1, np.int64)}
 
     def _add(self, name, arr):
@@ -226,7 +227,7 @@ class _Runs:
     def _end(self, ended, quiesce_t):
         # record the ended runs and drop them from every column
         ids = self.id[ended]
-        for name in ("t_f", "n_send", "n_hb"):
+        for name in ("t_f", "n_send"):
             self.out[name][ids] = getattr(self, name)[ended]
         self.out["quiesce_t"][ids] = (quiesce_t[ended] if np.ndim(quiesce_t)
                                       else quiesce_t)
@@ -245,13 +246,16 @@ class _Runs:
             ring[row] = 0
         return rows
 
-    def send(self, idx, t, ring, inflight=None, count=None):
-        """Runs ``idx`` send once each at tick t.  Each send draws one loss
-        coin; a delivered one lands in ``ring`` tau ticks later and counts
-        in ``inflight``.  ``count`` (default ``n_send``) counts the sends."""
-        if not idx.size:
-            return
-        (self.n_send if count is None else count)[idx] += 1
+    def send(self, idx, t, ring, inflight=None):
+        """Runs ``idx`` send one protocol message each at tick t."""
+        if idx.size:
+            self.n_send[idx] += 1
+            self.transmit(idx, t, ring, inflight)
+
+    def transmit(self, idx, t, ring, inflight=None):
+        """Runs ``idx`` put one message each on the link at tick t.  Each
+        draws one loss coin; a delivered one lands in ``ring`` tau ticks
+        later and counts in ``inflight``."""
         if t < self.flu:
             self.k[idx] += _ONE
             return
@@ -263,7 +267,6 @@ class _Runs:
     def heartbeats(self, alive):
         # one heartbeat from each live process; its coin is drawn but unread
         self.k += alive
-        self.n_hb += alive
 
     def finish(self, idx, t):
         # the payload reaches the receiver of runs idx at tick t
@@ -274,9 +277,9 @@ class _Runs:
         """The runs that end at tick t: the ``quiet`` ones, and those in a
         dead-peer ``tail``.  In a tail, only one process still acts, its
         sends are fixed, and it ends at its ``crash`` tick: a protocol send
-        at every ``every``-th tick and a heartbeat at every delta-th tick
-        before it (and before the horizon) are added in closed form.  The
-        run's stream is not advanced, since nothing reads it again.
+        at every ``every``-th tick before it (and before the horizon) is
+        added in closed form.  The run's stream is not advanced, since
+        nothing reads it again.
 
         Returns (ended mask, quiesce_t per run or one tick)."""
         if not tail.any():
@@ -285,16 +288,13 @@ class _Runs:
         until = crash[tail]
         end = np.minimum(until, self.horizon)
         self.n_send[tail] += _multiples(t + 1, end, every)
-        self.n_hb[tail] += _multiples(t + 1, end, self.delta)
         quiesce_t[tail] = np.where(until < self.horizon, until, -1)
         return quiet | tail, quiesce_t
 
 
 class _Trivial(_Runs):
-    # both processes heartbeat once at tick 0, and the run ends there
+    # nothing but heartbeats: every run ends at tick 0
     def tick(self, t):
-        self.heartbeats(t < self.t_p)
-        self.heartbeats(t < self.t_q)
         return np.ones(self.id.size, bool), t
 
 
@@ -379,7 +379,7 @@ class _Srhb(_Runs):
             self.send(got, t, self.ack)
         if beat:
             # q's heartbeats reach p and drive it, so their coins are read
-            self.send(np.flatnonzero(q_up), t, self.hbp, self.in_hbp, self.n_hb)
+            self.transmit(np.flatnonzero(q_up), t, self.hbp, self.in_hbp)
         p_can = p_up & ~self.ack_seen & (q_up | (self.in_hbp > 0))
         return ~p_can & ((self.in_msg == 0) | ~q_up), t
 
@@ -492,8 +492,8 @@ def _blocks(n):
 
 def _hb_upto(t, t_x, delta, horizon):
     """Heartbeat sends of a process with crash tick t_x, counted up to time
-    t; t may be an array."""
-    m = np.minimum(t, min(t_x, horizon) - 1)
+    t; t and t_x may be arrays."""
+    m = np.minimum(t, np.minimum(t_x, horizon) - 1)
     return np.where(m < 0, 0, m // delta + 1)
 
 
@@ -674,18 +674,22 @@ def single_batch(proto_code, params, horizon, seeds,
     the protocol could still send.
     """
     horizon = _checked_horizon(horizon)
+    delta = int(params.delta)
     seed = np.asarray(seeds, np.uint64)
     k = np.zeros(seed.size, np.uint64)  # draws taken, per run
     t_p = _crash_ticks(seed, k, int(force_tp), params.alpha_p, params.beta_p, horizon)
     t_q = _crash_ticks(seed, k, int(force_tq), params.alpha_q, params.beta_q, horizon)
     out = _PROTOCOLS[proto_code](
-        seed, k, t_p, t_q, horizon, params.gamma, int(params.tau),
-        int(params.delta), int(force_loss_until), float(ack_base)).run()
+        seed, k, t_p, t_q, horizon, params.gamma, int(params.tau), delta,
+        int(force_loss_until), float(ack_base)).run()
+    quiesce_t = out["quiesce_t"]
+    # every live process heartbeats at each multiple of delta, up to the
+    # run's last tick
+    last = np.where(quiesce_t < 0, horizon - 1, quiesce_t)
     return {
-        "t_p": t_p, "t_q": t_q, "t_f": out["t_f"],
-        "n_send": out["n_send"], "n_hb": out["n_hb"],
-        "active": (out["quiesce_t"] < 0).astype(np.int64),
-        "quiesce_t": out["quiesce_t"],
+        "t_p": t_p, "t_q": t_q, "t_f": out["t_f"], "n_send": out["n_send"],
+        "n_hb": _hb_upto(last, t_p, delta, horizon) + _hb_upto(last, t_q, delta, horizon),
+        "active": (quiesce_t < 0).astype(np.int64), "quiesce_t": quiesce_t,
     }
 
 
