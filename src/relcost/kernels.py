@@ -447,7 +447,9 @@ class _Pathological(_Runs):
         if got.size:
             self.finish(got, t)
             self.schedule(got, t)
-        # several acks can fall due on one tick: one coin each, in turn
+        # One copy arrives per tick at most and the delays grow with k, so
+        # acks fall due on distinct ticks unless rounding in ack_base**k
+        # breaks that order.  Acks that share a tick go in turn, one coin each.
         due = np.flatnonzero(q_up & (self.next_fire == t))
         while due.size:
             self.send(due, t, self.ack, self.in_ack)
