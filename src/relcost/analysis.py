@@ -11,7 +11,6 @@ deviation and a PASS/FAIL verdict at the configured tolerance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +19,8 @@ from . import engine, kernels
 from .model import (CostParams, ProtocolSpec, SystemParams,
                     combined_crash_rate, require_valid)
 
-# fixed chunk size: estimation always proceeds chunk by chunk and merges in
-# chunk order, so running with jobs > 1 reproduces the sequential result
-# bit for bit
+# runs per kernel batch: estimators simulate n_runs runs CHUNK at a time, so
+# the memory of one batch's arrays stays bounded however large n_runs is
 CHUNK = 8192
 
 DEFAULT_EPSILON_GATE = 1e-2
@@ -181,9 +179,7 @@ class RunningStats:
     deviations from the mean: each update takes its batch's M2 in two passes,
     and updates and merges combine M2s with the pairwise formula of Chan,
     Golub & LeVeque (The American Statistician 37(3), 1983), so data with a
-    large mean and a small spread keeps its variance.  Merging in chunk order
-    reproduces the sequential result exactly, so fanning chunks out to
-    workers does too.
+    large mean and a small spread keeps its variance.
     """
 
     n: int = 0
@@ -264,56 +260,56 @@ class EstimateReport:
         return d
 
 
-def _map_chunks(fn, n_runs: int, jobs: int) -> list:
-    """fn((start, count)) over the CHUNK-sized run ranges of n_runs runs,
-    on ``jobs`` threads when jobs > 1; results come back in chunk order."""
-    ranges = [(s, min(CHUNK, n_runs - s)) for s in range(0, n_runs, CHUNK)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, ranges))
-    return [fn(r) for r in ranges]
+def _seed_chunks(seed: int, n_runs: int):
+    """Seed arrays of runs 0..n_runs-1 of a master seed, CHUNK runs at a
+    time, in run order."""
+    for start in range(0, n_runs, CHUNK):
+        yield kernels.make_seeds(seed, start, min(CHUNK, n_runs - start))
 
 
-def _single_metric_arrays(arrays, metric, costs, horizon, truncate):
-    wait = np.minimum(np.minimum(arrays["t_p"], arrays["t_q"]), arrays["t_f"])
+def _wait(arrays):
+    return np.minimum(np.minimum(arrays["t_p"], arrays["t_q"]), arrays["t_f"])
+
+
+def _c1_values(wait, costs: CostParams, horizon: int):
+    """n_exp ** wait, with the wait capped at the horizon."""
+    with np.errstate(over="ignore"):
+        return np.power(costs.n_exp, np.minimum(wait, horizon).astype(np.float64))
+
+
+def _single_metric_arrays(arrays, metric, costs, horizon):
+    wait = _wait(arrays)
     if metric == "t_wait":
-        if truncate:
-            return np.minimum(wait, horizon).astype(np.float64), None
         return wait.astype(np.float64), wait > horizon
     if metric == "n_send":
-        vals = arrays["n_send"].astype(np.float64)
-        if truncate:
-            return vals, None
-        return vals, arrays["active"] == 1
+        return arrays["n_send"].astype(np.float64), arrays["active"] == 1
     if metric == "c0":
         cens = (wait > horizon) | (arrays["active"] == 1)
         vals = (arrays["n_send"] * costs.c_send + wait * costs.c_wait).astype(np.float64)
-        if truncate:
-            vals = (arrays["n_send"] * costs.c_send
-                    + np.minimum(wait, horizon) * costs.c_wait).astype(np.float64)
-            return vals, None
         return vals, cens
     if metric == "c1":
-        w = np.minimum(wait, horizon).astype(np.float64)
-        with np.errstate(over="ignore"):
-            vals = np.power(costs.n_exp, w)
-        if truncate:
-            return vals, None
-        return vals, wait > horizon
+        return _c1_values(wait, costs, horizon), wait > horizon
     raise ValueError(f"unknown single-mode metric {metric!r}")
+
+
+def _require_c1_slack(params: SystemParams, costs: CostParams) -> None:
+    slack = costs.n_exp * (1.0 - params.beta_p) * (1.0 - params.beta_q)
+    if slack <= 1.0:
+        raise ValueError(
+            "c1 analysis requires n_exp*(1-beta_p)*(1-beta_q) > 1, "
+            f"got {slack}")
 
 
 def estimate(protocol: ProtocolSpec, params: SystemParams, costs: CostParams,
              metric: str, n_runs: int, horizon: int, seed: int,
-             jobs: int = 1, tolerance: float | None = None,
+             tolerance: float | None = None,
              epsilon_gate: float = DEFAULT_EPSILON_GATE,
-             lam: float | None = None, truncate: bool = False) -> EstimateReport:
+             lam: float | None = None) -> EstimateReport:
     """Monte Carlo estimate of one metric over independent seeded runs.
 
     Censored runs (quantity undetermined within the horizon) are excluded
-    from the mean and counted; with ``truncate=True`` quantities are capped
-    at the horizon instead and nothing is censored (probe use).  A matching
-    closed form is attached whenever its validity regime holds.
+    from the mean and counted.  A matching closed form is attached whenever
+    its validity regime holds.
     """
     require_valid(params, costs, protocol)
     if n_runs < 2:
@@ -323,37 +319,23 @@ def estimate(protocol: ProtocolSpec, params: SystemParams, costs: CostParams,
     if metric == "c_avg" and protocol.kind != "srhb":
         raise ValueError("the average-cost metric is defined for the srhb protocol")
     if metric == "c1":
-        slack = costs.n_exp * (1.0 - params.beta_p) * (1.0 - params.beta_q)
-        if slack <= 1.0:
-            raise ValueError(
-                "c1 analysis requires n_exp*(1-beta_p)*(1-beta_q) > 1, "
-                f"got {slack}")
+        _require_c1_slack(params, costs)
 
-    def run_chunk(rng):
-        start, count = rng
-        seeds = kernels.make_seeds(seed, start, count)
-        stats = RunningStats()
+    stats = RunningStats()
+    for seeds in _seed_chunks(seed, n_runs):
         if metric == "c_avg":
-            arrays = kernels.repeated_batch(params, costs, horizon, seeds)
-            stats.update(arrays["ratio"])
+            stats.update(kernels.repeated_batch(params, costs, horizon, seeds)["ratio"])
         else:
             arrays = kernels.single_batch(protocol.code, params, horizon,
                                           seeds, ack_base=protocol.ack_base)
-            vals, cens = _single_metric_arrays(arrays, metric, costs, horizon,
-                                               truncate)
-            stats.update(vals, cens)
-        return stats
+            stats.update(*_single_metric_arrays(arrays, metric, costs, horizon))
 
-    merged = RunningStats()
-    for stats in _map_chunks(run_chunk, n_runs, jobs):
-        merged.merge(stats)
-
-    if merged.n == 0:
+    if stats.n == 0:
         raise RuntimeError(
             f"all {n_runs} runs censored at horizon {horizon}; "
-            "increase the horizon or use truncate=True")
-    mean = merged.mean
-    stderr = merged.stderr
+            "increase the horizon")
+    mean = stats.mean
+    stderr = stats.stderr
     cf = closed_form_for(protocol.kind, metric, params, costs, lam, epsilon_gate)
     rel = None
     passed = None
@@ -363,7 +345,7 @@ def estimate(protocol: ProtocolSpec, params: SystemParams, costs: CostParams,
             passed = rel <= tolerance
     return EstimateReport(
         metric=metric, protocol=protocol.kind, n_runs=n_runs,
-        n_censored=merged.n_censored, mean=mean, stderr=stderr,
+        n_censored=stats.n_censored, mean=mean, stderr=stderr,
         ci95=(mean - 1.96 * stderr, mean + 1.96 * stderr),
         closed_form=cf, rel_deviation=rel, tolerance=tolerance, passed=passed,
         seed=seed, horizon=horizon,
@@ -381,8 +363,7 @@ class S2Point:
 
 
 def s2_curve(protocol: ProtocolSpec, params: SystemParams, t_grid,
-             n_runs: int, seed: int, horizon: int | None = None,
-             jobs: int = 1) -> list[S2Point]:
+             n_runs: int, seed: int, horizon: int | None = None) -> list[S2Point]:
     """Empirical Pr(receiver finished before t | both processes up at t).
 
     Completion is counted strictly before t, matching the convention that a
@@ -402,19 +383,14 @@ def s2_curve(protocol: ProtocolSpec, params: SystemParams, t_grid,
     up_counts = np.zeros(len(grid), dtype=np.int64)
     fin_counts = np.zeros(len(grid), dtype=np.int64)
 
-    def run_chunk(rng):
-        start, count = rng
-        seeds = kernels.make_seeds(seed, start, count)
+    for seeds in _seed_chunks(seed, n_runs):
         arrays = kernels.single_batch(protocol.code, params, horizon, seeds,
                                       ack_base=protocol.ack_base)
         first_crash = np.minimum(arrays["t_p"], arrays["t_q"])
         up = first_crash[:, None] > grid_arr[None, :]
         fin = up & (arrays["t_f"][:, None] < grid_arr[None, :])
-        return up.sum(axis=0), fin.sum(axis=0)
-
-    for up, fin in _map_chunks(run_chunk, n_runs, jobs):
-        up_counts += up
-        fin_counts += fin
+        up_counts += up.sum(axis=0)
+        fin_counts += fin.sum(axis=0)
 
     points = []
     for i, t in enumerate(grid):
@@ -428,6 +404,27 @@ def s2_curve(protocol: ProtocolSpec, params: SystemParams, t_grid,
 
 # ---------------------------------------------------------------------------
 # probes
+
+def _truncated_means(protocol: ProtocolSpec, params: SystemParams, horizons,
+                     n_runs: int, seed: int, capped) -> tuple[list, list]:
+    """(horizons, means): for each horizon h, the mean of capped(arrays, h)
+    over runs 0..n_runs-1 of the seed simulated to h, where capped maps a
+    kernel batch to a per-run value capped at h, so no run is censored."""
+    hs = [int(h) for h in horizons]
+    if any(b <= a for a, b in zip(hs, hs[1:])):
+        raise ValueError("horizons must be strictly increasing")
+    if n_runs < 2:
+        raise ValueError("n_runs must be >= 2")
+    means = []
+    for h in hs:
+        total = 0.0
+        for seeds in _seed_chunks(seed, n_runs):
+            arrays = kernels.single_batch(protocol.code, params, h, seeds,
+                                          ack_base=protocol.ack_base)
+            total += float(capped(arrays, h).sum())
+        means.append(total / n_runs)
+    return hs, means
+
 
 @dataclass(frozen=True)
 class DivergenceReport:
@@ -452,8 +449,8 @@ class DivergenceReport:
 
 def divergence_probe(protocol: ProtocolSpec, params: SystemParams,
                      horizons, n_runs: int, seed: int,
-                     growth_threshold: float = 1.3, bounded_tol: float = 0.05,
-                     jobs: int = 1) -> DivergenceReport:
+                     growth_threshold: float = 1.3,
+                     bounded_tol: float = 0.05) -> DivergenceReport:
     """Truncated mean send count across growing horizons.
 
     Divergence cannot be proven by simulation: DIVERGENT is a growth
@@ -462,15 +459,10 @@ def divergence_probe(protocol: ProtocolSpec, params: SystemParams,
     same per-run seeds are reused at every horizon, so longer horizons
     extend the same runs and the ratios are tightly coupled.
     """
-    hs = [int(h) for h in horizons]
-    if any(b <= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("horizons must be strictly increasing")
-    costs = CostParams(c_send=1.0, c_wait=1.0)
-    means = []
-    for h in hs:
-        rep = estimate(protocol, params, costs, "n_send", n_runs, h, seed,
-                       jobs=jobs, truncate=True)
-        means.append(rep.mean)
+    require_valid(params, protocol=protocol)
+    hs, means = _truncated_means(
+        protocol, params, horizons, n_runs, seed,
+        lambda arrays, h: arrays["n_send"].astype(np.float64))
     ratios = []
     for a, b in zip(means, means[1:]):
         ratios.append(b / a if a > 0 else (0.0 if b == 0 else math.inf))
@@ -618,8 +610,7 @@ class GrowthReport:
 
 def c1_growth_probe(params: SystemParams, costs: CostParams, horizons,
                     n_runs: int, seed: int,
-                    protocol: ProtocolSpec | None = None,
-                    jobs: int = 1) -> GrowthReport:
+                    protocol: ProtocolSpec | None = None) -> GrowthReport:
     """Truncated expectation of the exponential cost across horizons.
 
     The default subject is the do-nothing protocol with correct processes:
@@ -627,14 +618,11 @@ def c1_growth_probe(params: SystemParams, costs: CostParams, horizons,
     without bound, the signature that the exponential penalty rules it out.
     """
     protocol = protocol or ProtocolSpec("trivial")
-    hs = [int(h) for h in horizons]
-    if any(b <= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("horizons must be strictly increasing")
-    means = []
-    for h in hs:
-        rep = estimate(protocol, params, costs, "c1", n_runs, h, seed,
-                       jobs=jobs, truncate=True)
-        means.append(rep.mean)
+    require_valid(params, costs, protocol)
+    _require_c1_slack(params, costs)
+    hs, means = _truncated_means(
+        protocol, params, horizons, n_runs, seed,
+        lambda arrays, h: _c1_values(_wait(arrays), costs, h))
     ratios = [b / a if a > 0 else math.inf for a, b in zip(means, means[1:])]
     growing = all(b > a for a, b in zip(means, means[1:]))
     return GrowthReport(protocol=protocol.kind, metric="c1_truncated",
@@ -671,7 +659,7 @@ class LambdaEstimate:
 
 
 def estimate_lambda(params: SystemParams, costs: CostParams, n_runs: int,
-                    horizon: int, seed: int, jobs: int = 1) -> LambdaEstimate:
+                    horizon: int, seed: int) -> LambdaEstimate:
     """Empirical attenuation constant of the repeated-mode prediction:
     (mean average cost - c_send/(delta*sigma)) / Z.
 
@@ -683,18 +671,10 @@ def estimate_lambda(params: SystemParams, costs: CostParams, n_runs: int,
     ratio_stats = RunningStats()
     completed_stats = RunningStats()
 
-    def run_chunk(rng):
-        start, count = rng
-        seeds = kernels.make_seeds(seed, start, count)
+    for seeds in _seed_chunks(seed, n_runs):
         arrays = kernels.repeated_batch(params, costs, horizon, seeds)
-        rs, cs = RunningStats(), RunningStats()
-        rs.update(arrays["ratio"])
-        cs.update(arrays["n_complete"])
-        return rs, cs
-
-    for rs, cs in _map_chunks(run_chunk, n_runs, jobs):
-        ratio_stats.merge(rs)
-        completed_stats.merge(cs)
+        ratio_stats.update(arrays["ratio"])
+        completed_stats.update(arrays["n_complete"])
 
     z = invocation_cost_z(params, costs)
     hb_share = costs.c_send / (params.delta * params.sigma)

@@ -1,7 +1,7 @@
 """Batch experiment runner: JSON configs in, tables/CSV/JSON out.
 
     relcost simulate|compare|s2|probe|optimize --config <path>
-            [--out <dir>] [--seed-override <u64>] [--jobs <n>]
+            [--out <dir>] [--seed-override <u64>]
 
 Commands are idempotent for a given (config, seed): outputs are byte
 identical across reruns.  The exit status reports operational failure only;
@@ -196,7 +196,7 @@ def _render_t(t, horizon):
     return "inf" if t > horizon else t
 
 
-def cmd_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.mode == "repeated":
         trace = engine.run_repeated(cfg.system, cfg.seed, cfg.horizon)
         points, sup = cost.avg_cost_series(trace, cfg.costs)
@@ -233,14 +233,14 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_compare(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
+def cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
     metrics = cfg.metrics or ["t_wait", "n_send"]
     reports = []
     for proto in cfg.protocols:
         for metric in metrics:
             reports.append(analysis.estimate(
                 proto, cfg.system, cfg.costs, metric,
-                cfg.n_runs, cfg.horizon, cfg.seed, jobs=jobs,
+                cfg.n_runs, cfg.horizon, cfg.seed,
                 tolerance=cfg.tolerance, epsilon_gate=cfg.epsilon_gate,
                 lam=cfg.lam))
     (out / "table.txt").write_text(analysis.render_reports(reports))
@@ -248,12 +248,11 @@ def cmd_compare(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_s2(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
+def cmd_s2(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.t_grid:
         raise ConfigError("s2 requires a t_grid")
     points = analysis.s2_curve(cfg.protocol, cfg.system, cfg.t_grid,
-                               cfg.n_runs, cfg.seed, horizon=cfg.horizon,
-                               jobs=jobs)
+                               cfg.n_runs, cfg.seed, horizon=cfg.horizon)
     with (out / "series.csv").open("w") as fh:
         fh.write("t,prob,n_conditioned\n")
         for p in points:
@@ -267,7 +266,7 @@ def cmd_s2(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_probe(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
+def cmd_probe(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.probe == "impossibility":
         rep = analysis.impossibility_probe(cfg.protocol, cfg.system,
                                            cfg.horizon, cfg.seed)
@@ -285,7 +284,7 @@ def cmd_probe(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
             raise ConfigError("c1_growth probe requires horizons")
         rep = analysis.c1_growth_probe(cfg.system, cfg.costs, cfg.horizons,
                                        cfg.n_runs, cfg.seed,
-                                       protocol=cfg.protocol, jobs=jobs)
+                                       protocol=cfg.protocol)
         lines = ["horizon  truncated_mean_c1"]
         for h, m in zip(rep.horizons, rep.means):
             lines.append(f"{h:<8} {m!r}")
@@ -299,7 +298,7 @@ def cmd_probe(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     rep = analysis.divergence_probe(cfg.protocol, cfg.system, cfg.horizons,
                                     cfg.n_runs, cfg.seed,
                                     growth_threshold=cfg.growth_threshold,
-                                    bounded_tol=cfg.bounded_tol, jobs=jobs)
+                                    bounded_tol=cfg.bounded_tol)
     lines = ["horizon  truncated_mean_n_send  ratio"]
     for i, (h, m) in enumerate(zip(rep.horizons, rep.means)):
         ratio = "" if i == 0 else f"{rep.ratios[i - 1]:.4g}"
@@ -310,7 +309,7 @@ def cmd_probe(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_optimize(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
+def cmd_optimize(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.delta_range:
         raise ConfigError("optimize requires a delta_range")
     res = analysis.optimize_delta(cfg.system, cfg.costs, cfg.lam,
@@ -348,7 +347,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
         p.add_argument("--seed-override", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -361,7 +359,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return _COMMANDS[args.command](cfg, out, max(1, args.jobs))
+        return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -447,16 +447,14 @@ class _Pathological(_Runs):
         if got.size:
             self.finish(got, t)
             self.schedule(got, t)
-        # One copy arrives per tick at most and the delays grow with k, so
-        # acks fall due on distinct ticks unless rounding in ack_base**k
-        # breaks that order.  Acks that share a tick go in turn, one coin each.
+        # At most one ack falls due per tick: copy k+1 arrives at least one
+        # tick after copy k, and ceil(ack_base**k) does not decrease in k,
+        # so the fire ticks strictly increase in k.
         due = np.flatnonzero(q_up & (self.next_fire == t))
-        while due.size:
+        if due.size:
             self.send(due, t, self.ack, self.in_ack)
-            pending = self.fires[:, due]
-            self.fires[pending.argmin(axis=0), due] = _NEVER
+            self.fires[self.fires[:, due].argmin(axis=0), due] = _NEVER
             self.next_fire[due] = self.fires[:, due].min(axis=0)
-            due = due[self.next_fire[due] == t]
         if beat:
             self.heartbeats(q_up)
         q_done = (self.next_fire == _NEVER) & ~self.far

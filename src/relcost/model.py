@@ -7,7 +7,6 @@ experiment configs) can report all of them at once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, dataclass, fields
 
 PROTOCOL_NAMES = ("trivial", "sender", "receiver", "srhb", "pathological")
@@ -166,11 +165,3 @@ def protocol_spec_from_dict(data: dict) -> ProtocolSpec:
     if spec.kind not in PROTOCOL_NAMES:
         raise ValueError(f"protocol kind must be one of {PROTOCOL_NAMES}, got {spec.kind!r}")
     return spec
-
-
-def system_params_from_json(text: str) -> SystemParams:
-    return system_params_from_dict(json.loads(text))
-
-
-def cost_params_from_json(text: str) -> CostParams:
-    return cost_params_from_dict(json.loads(text))

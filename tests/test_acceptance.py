@@ -8,7 +8,9 @@ per-criterion lines.
 import math
 import time
 
-from relcost import analysis, cost, engine
+import numpy as np
+
+from relcost import analysis, cost, engine, kernels
 from relcost.model import CostParams, ProtocolSpec, SystemParams
 
 C11 = CostParams(1.0, 1.0)
@@ -192,15 +194,25 @@ def test_criterion_09_property_suite():
     print(f"  (c) quiescence lag <= 2*tau on {checked} acknowledged runs: {lag_ok}")
     ok_all &= lag_ok and checked > 30
 
-    # (d) estimator merging: parallel equals sequential exactly
+    # (d) estimator merging: an estimate folded over three chunks equals one
+    # numpy pass over a single batch of the same seeds
     pm = SystemParams(alpha_p=0, alpha_q=0, beta_p=0.01, beta_q=0.02,
                       gamma=0.1, tau=3, delta=2)
-    seq = analysis.estimate(ProtocolSpec("sender"), pm, C11, "c0", 20000,
-                            2048, seed=113, jobs=1)
-    par = analysis.estimate(ProtocolSpec("sender"), pm, C11, "c0", 20000,
-                            2048, seed=113, jobs=4)
-    merge_ok = seq == par
-    print(f"  (d) parallel == sequential estimate: {merge_ok}")
+    n_runs, horizon = 20000, 2048
+    chunked = analysis.estimate(ProtocolSpec("sender"), pm, C11, "c0", n_runs,
+                                horizon, seed=113)
+    arr = kernels.single_batch(ProtocolSpec("sender").code, pm, horizon,
+                               kernels.make_seeds(113, 0, n_runs))
+    wait = np.minimum(np.minimum(arr["t_p"], arr["t_q"]), arr["t_f"])
+    cens = (wait > horizon) | (arr["active"] == 1)
+    c0 = (arr["n_send"] + wait)[~cens].astype(np.float64)
+    stderr = c0.std(ddof=1) / math.sqrt(c0.size)
+    merge_ok = (-(-n_runs // analysis.CHUNK) == 3
+                and chunked.n_censored == int(cens.sum())
+                and math.isclose(chunked.mean, c0.mean(), rel_tol=1e-12)
+                and math.isclose(chunked.stderr, stderr, rel_tol=1e-9))
+    print(f"  (d) three-chunk estimate == one-batch pass "
+          f"(n_censored {chunked.n_censored}, mean {chunked.mean:.6f}): {merge_ok}")
     ok_all &= merge_ok
 
     # (e) optimizer argmin invariance under joint cost scaling

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relcost import analysis
+from relcost import analysis, kernels
 from relcost.analysis import RunningStats
 from relcost.model import CostParams, ProtocolSpec, SystemParams
 
@@ -103,17 +103,15 @@ def test_estimate_deterministic_run_has_zero_stderr():
     assert rep.n_censored == 0
 
 
-def test_estimate_is_seed_stable_and_jobs_invariant():
+def test_estimate_is_seed_stable():
     p = params(beta_p=0.01, beta_q=0.02, gamma=0.1)
     a = analysis.estimate(ProtocolSpec("sender"), p, C11, "c0", 20000, 2048,
-                          seed=5, jobs=1)
-    b = analysis.estimate(ProtocolSpec("sender"), p, C11, "c0", 20000, 2048,
-                          seed=5, jobs=4)
+                          seed=5)
     c = analysis.estimate(ProtocolSpec("sender"), p, C11, "c0", 20000, 2048,
-                          seed=5, jobs=1)
-    assert a == b == c
+                          seed=5)
+    assert a == c
     d = analysis.estimate(ProtocolSpec("sender"), p, C11, "c0", 20000, 2048,
-                          seed=6, jobs=1)
+                          seed=6)
     assert d.mean != a.mean
 
 
@@ -252,6 +250,49 @@ def test_c1_growth_probe_is_unbounded_for_trivial():
     assert rep.growing
     assert rep.means[0] == pytest.approx(1.05 ** 64)
     assert all(r > 2.0 for r in rep.ratios)
+
+
+@pytest.mark.parametrize("n_runs", [300, analysis.CHUNK + 300])
+def test_probe_means_equal_a_direct_kernel_pass(n_runs):
+    # one chunk: the same sums, so equal exactly; several chunks: the chunk
+    # sums add up in another order than one batch's sum
+    horizons = [16, 32, 64]
+    p = params(beta_p=0.01, beta_q=0.01, gamma=0.3, tau=2, delta=2)
+    path = ProtocolSpec("pathological", ack_base=5 / 3)
+    sender = ProtocolSpec("sender")
+    div = analysis.divergence_probe(path, p, horizons, n_runs, seed=9)
+    c1 = analysis.c1_growth_probe(p, CostParams(1, 1, n_exp=1.05), horizons,
+                                  n_runs, seed=9, protocol=sender)
+    seeds = kernels.make_seeds(9, 0, n_runs)
+    sends, c1_means = [], []
+    for h in horizons:
+        arr = kernels.single_batch(path.code, p, h, seeds, ack_base=path.ack_base)
+        sends.append(arr["n_send"].astype(np.float64).mean())
+        arr = kernels.single_batch(sender.code, p, h, seeds)
+        wait = np.minimum(np.minimum(arr["t_p"], arr["t_q"]), arr["t_f"])
+        c1_means.append(np.power(1.05, np.minimum(wait, h).astype(np.float64)).mean())
+    if n_runs <= analysis.CHUNK:
+        assert list(div.means) == sends
+        assert list(c1.means) == c1_means
+    else:
+        assert list(div.means) == pytest.approx(sends, rel=1e-12, abs=0)
+        assert list(c1.means) == pytest.approx(c1_means, rel=1e-12, abs=0)
+
+
+def test_probes_validate_inputs():
+    p = params()
+    with pytest.raises(ValueError, match="n_runs"):
+        analysis.divergence_probe(ProtocolSpec("sender"), p, [8, 16], 1, seed=1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        analysis.divergence_probe(ProtocolSpec("sender"), p, [16, 8], 10, seed=1)
+    with pytest.raises(ValueError, match="invalid parameters"):
+        analysis.divergence_probe(ProtocolSpec("pathological", ack_base=1.0), p,
+                                  [8, 16], 10, seed=1)
+    with pytest.raises(ValueError, match="c1 analysis requires"):
+        analysis.c1_growth_probe(p, CostParams(1, 1, n_exp=1.001), [8, 16], 10,
+                                 seed=1)
+    with pytest.raises(ValueError, match="invalid parameters"):
+        analysis.c1_growth_probe(p, CostParams(-1, 1), [8, 16], 10, seed=1)
 
 
 LAMBDA_PARAMS = SystemParams(alpha_p=0, alpha_q=0, beta_p=0.005, beta_q=0.005,

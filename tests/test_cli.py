@@ -235,10 +235,21 @@ def test_outputs_are_idempotent(tmp_path):
     outs = []
     for name in ("o1", "o2"):
         out = tmp_path / name
-        assert main(["compare", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 0
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         outs.append((out / "summary.json").read_bytes()
                     + (out / "table.txt").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_jobs_flag_is_gone(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "protocol": {"kind": "sender"}, "system": SYSTEM_DET, "costs": COSTS,
+        "n_runs": 100, "horizon": 64,
+    })
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config", cfg, "--out", str(tmp_path / "out"),
+              "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_seed_override_changes_trace(tmp_path):

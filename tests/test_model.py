@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from relcost.model import (CostParams, ProtocolSpec, SystemParams,
                            combined_crash_rate, cost_params_from_dict,
                            protocol_spec_from_dict, system_params_from_dict,
-                           system_params_from_json, validate)
+                           validate)
 
 
 def params(**kw):
@@ -83,7 +83,7 @@ def test_json_loader_missing_key_errors():
 def test_json_loader_roundtrip():
     doc = dict(alpha_p=0.5, alpha_q=0.0, beta_p=0.1, beta_q=0.2, gamma=0.3,
                tau=4, delta=5, sigma=0.01)
-    p = system_params_from_json(json.dumps(doc))
+    p = system_params_from_dict(json.loads(json.dumps(doc)))
     assert p == SystemParams(**doc)
 
 
